@@ -22,6 +22,23 @@ fn bench(c: &mut Criterion) {
         )
     });
 
+    group.bench_function("on_arrival/window_full", |b| {
+        // 100 arrivals inside the 500 ms window; the new one evicts the
+        // oldest, so the window stays full. The dominant-task tally is
+        // what this case prices.
+        b.iter_batched(
+            || {
+                let mut ctl = ElasticController::new(ElasticConfig::default());
+                for i in 0..100 {
+                    ctl.on_arrival(i as f64 * 5_000.0, (i % 5) as u32);
+                }
+                ctl
+            },
+            |mut ctl| black_box(ctl.on_arrival(500_500.0, 2)),
+            BatchSize::SmallInput,
+        )
+    });
+
     group.bench_function("on_arrival/window_churn", |b| {
         // A big stale window forces maximal eviction work.
         b.iter_batched(

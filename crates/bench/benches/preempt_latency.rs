@@ -48,7 +48,7 @@ fn bench_preempt(c: &mut Criterion) {
         group.bench_function(format!("greedy/queue{n}"), |b| {
             b.iter_batched(
                 || (queue(n), newcomer(n)),
-                |(mut q, new)| black_box(greedy_preempt(&mut q, new, 500.0, n as f64 * 100.0, 4.0)),
+                |(mut q, new)| black_box(greedy_preempt(&mut q, new, 4.0)),
                 BatchSize::SmallInput,
             )
         });
@@ -76,7 +76,7 @@ fn bench_preempt(c: &mut Criterion) {
                 new.task = 3;
                 (q, new)
             },
-            |(mut q, new)| black_box(greedy_preempt(&mut q, new, 500.0, 51_200.0, 4.0)),
+            |(mut q, new)| black_box(greedy_preempt(&mut q, new, 4.0)),
             BatchSize::SmallInput,
         )
     });

@@ -151,7 +151,6 @@ pub fn split(arrivals: &[Arrival], models: &ModelTable, cfg: &SplitCfg) -> SimRe
                         blocks_done: 0,
                     },
                 );
-                let base_wait = running.map(|(_, e)| e - now).unwrap_or(0.0);
                 let t0 = Instant::now();
                 let decision = greedy_preempt(
                     &mut queue,
@@ -162,8 +161,6 @@ pub fn split(arrivals: &[Arrival], models: &ModelTable, cfg: &SplitCfg) -> SimRe
                         left_us: left,
                         arrival_us: now,
                     },
-                    base_wait,
-                    now,
                     cfg.alpha,
                 );
                 let decision_ns = t0.elapsed().as_nanos() as u64;

@@ -11,7 +11,7 @@
 //!   overhead is pure waste.
 //!
 //! The [`ElasticController`] watches a sliding window of recent arrivals
-//! and answers, per dispatch, whether the next request should run split or
+//! and answers, per arrival, whether that request should run split or
 //! vanilla. Hysteresis (distinct on/off thresholds) prevents flapping at
 //! the boundary.
 
@@ -115,6 +115,10 @@ pub struct ElasticController {
     cfg: ElasticConfig,
     /// Recent arrivals: (time, task type).
     window: VecDeque<(f64, u32)>,
+    /// Arrivals per task type inside `window`, kept up to date as
+    /// arrivals enter and leave it: one `(task, count)` per distinct task
+    /// in the window, in no particular order (only their maximum is read).
+    counts: Vec<(u32, usize)>,
     /// Current mode (true = splitting enabled).
     splitting: bool,
 }
@@ -131,37 +135,35 @@ impl ElasticController {
         Self {
             cfg,
             window: VecDeque::new(),
+            counts: Vec::new(),
             splitting: true,
         }
     }
 
-    /// Record an arrival and return whether this request should be
-    /// dispatched *split* (true) or vanilla (false).
+    /// Record the arrival of a request of `task` at `now_us` and return
+    /// whether that request should be dispatched *split* (true) or
+    /// vanilla (false). Called once per arrival; costs O(#tasks in the
+    /// window) plus the evictions, never a pass over the whole window.
     pub fn on_arrival(&mut self, now_us: f64, task: u32) -> bool {
         self.window.push_back((now_us, task));
-        while let Some(&(t, _)) = self.window.front() {
-            if now_us - t > self.cfg.window_us {
-                self.window.pop_front();
-            } else {
-                break;
+        match self.counts.iter_mut().find(|c| c.0 == task) {
+            Some(c) => c.1 += 1,
+            None => self.counts.push((task, 1)),
+        }
+        let window_us = self.cfg.window_us;
+        while let Some(&(_, old)) = self.window.front().filter(|(t, _)| now_us - t > window_us) {
+            self.window.pop_front();
+            let i = self.counts.iter().position(|c| c.0 == old);
+            let i = i.expect("windowed task is counted");
+            self.counts[i].1 -= 1;
+            if self.counts[i].1 == 0 {
+                self.counts.swap_remove(i);
             }
         }
 
         let n = self.window.len();
         let rate_per_s = n as f64 / (self.cfg.window_us / 1e6);
-
-        let mut dominant = 0usize;
-        if n >= self.cfg.min_samples {
-            // BTreeMap keeps the tally iteration deterministic (audited by
-            // split-analyze; a HashMap is order-safe here only because max()
-            // over counts is commutative, but determinism is cheaper than
-            // that argument).
-            let mut counts = std::collections::BTreeMap::new();
-            for &(_, t) in &self.window {
-                *counts.entry(t).or_insert(0usize) += 1;
-            }
-            dominant = counts.values().copied().max().unwrap_or(0);
-        }
+        let dominant = self.counts.iter().map(|c| c.1).max().unwrap_or(0);
         let same_type_flood =
             n >= self.cfg.min_samples && (dominant as f64 / n as f64) >= self.cfg.same_type_frac;
 
@@ -198,6 +200,121 @@ impl ElasticController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The full-recount rule the incremental tally replaced: every
+    /// arrival re-tallies the whole window. Kept as the reference the
+    /// controller must match decision for decision.
+    struct RecountController {
+        cfg: ElasticConfig,
+        window: VecDeque<(f64, u32)>,
+        splitting: bool,
+    }
+
+    impl RecountController {
+        fn on_arrival(&mut self, now_us: f64, task: u32) -> bool {
+            self.window.push_back((now_us, task));
+            while let Some(&(t, _)) = self.window.front() {
+                if now_us - t > self.cfg.window_us {
+                    self.window.pop_front();
+                } else {
+                    break;
+                }
+            }
+            let n = self.window.len();
+            let rate_per_s = n as f64 / (self.cfg.window_us / 1e6);
+            let mut dominant = 0usize;
+            if n >= self.cfg.min_samples {
+                let mut counts = std::collections::BTreeMap::new();
+                for &(_, t) in &self.window {
+                    *counts.entry(t).or_insert(0usize) += 1;
+                }
+                dominant = counts.values().copied().max().unwrap_or(0);
+            }
+            let same_type_flood = n >= self.cfg.min_samples
+                && (dominant as f64 / n as f64) >= self.cfg.same_type_frac;
+            if self.splitting {
+                if rate_per_s > self.cfg.density_off_per_s || same_type_flood {
+                    self.splitting = false;
+                }
+            } else if rate_per_s < self.cfg.density_on_per_s && !same_type_flood {
+                self.splitting = true;
+            }
+            self.splitting
+        }
+
+        fn snapshot(&self) -> ElasticSnapshot {
+            ElasticSnapshot {
+                splitting: self.splitting,
+                window_len: self.window.len(),
+                rate_per_s: self.window.len() as f64 / (self.cfg.window_us / 1e6),
+            }
+        }
+    }
+
+    /// Valid configs: the on threshold a fraction of the off threshold,
+    /// windows from 1 ms to 2 s.
+    fn config_strategy() -> impl Strategy<Value = ElasticConfig> {
+        (
+            1_000.0f64..2_000_000.0,
+            0.0f64..400.0,
+            0.0f64..=1.0,
+            0.0f64..=1.0,
+            1usize..16,
+        )
+            .prop_map(|(window_us, off, on_frac, same_type_frac, min_samples)| {
+                ElasticConfig {
+                    window_us,
+                    density_off_per_s: off,
+                    density_on_per_s: off * on_frac,
+                    same_type_frac,
+                    min_samples,
+                }
+            })
+    }
+
+    /// Arrival sequences over a mix of 1–8 tasks; a quarter of the gaps
+    /// are zero (simultaneous arrivals), the rest up to 100 ms.
+    fn arrivals_strategy() -> impl Strategy<Value = Vec<(f64, u32)>> {
+        (1u32..9).prop_flat_map(|tasks| {
+            proptest::collection::vec((0u8..4, 0.0f64..100_000.0, 0..tasks), 0..400).prop_map(
+                |steps| {
+                    let mut now = 0.0;
+                    steps
+                        .into_iter()
+                        .map(|(draw, gap, task)| {
+                            if draw > 0 {
+                                now += gap;
+                            }
+                            (now, task)
+                        })
+                        .collect()
+                },
+            )
+        })
+    }
+
+    proptest! {
+        /// The incremental tally decides exactly as a full recount.
+        #[test]
+        fn incremental_tally_matches_full_recount(
+            cfg in config_strategy(),
+            arrivals in arrivals_strategy(),
+        ) {
+            let mut fast = ElasticController::new(cfg.clone());
+            let mut reference = RecountController {
+                cfg,
+                window: VecDeque::new(),
+                splitting: true,
+            };
+            for (now, task) in arrivals {
+                prop_assert_eq!(fast.on_arrival(now, task), reference.on_arrival(now, task));
+                prop_assert_eq!(fast.snapshot(), reference.snapshot());
+            }
+            let tallied: usize = fast.counts.iter().map(|c| c.1).sum();
+            prop_assert_eq!(tallied, fast.window_len());
+        }
+    }
 
     fn ctl() -> ElasticController {
         ElasticController::new(ElasticConfig {

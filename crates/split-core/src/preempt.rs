@@ -17,8 +17,10 @@
 //! forward past each neighbor while doing so lowers the *pair's average
 //! response ratio*, stopping at the queue head, at a same-task neighbor,
 //! or when a swap stops helping — exactly the three stopping conditions of
-//! §3.4. Worst case O(n) response-ratio evaluations; typically O(k) where
-//! k is the number of distinct task types present.
+//! §3.4. Worst case O(n) neighbor comparisons; typically O(k) where k is
+//! the number of distinct task types present. Each comparison is a couple
+//! of flops: everything but the pair's own remaining and execution times
+//! cancels out of it (see [`greedy_preempt`]).
 //!
 //! The response ratio follows Algorithm 1's `ResponseRatio`: predicted
 //! end-to-end latency over the *latency target* `α·Ext(t)` (footnote 3,
@@ -79,8 +81,15 @@ pub enum StopReason {
 }
 
 /// Insert `new` into `queue` (ordered head-first) with the greedy
-/// preemption rule. `base_wait_us` is the device time before the queue
-/// head can start (the non-preemptible remainder of the in-flight block).
+/// preemption rule.
+///
+/// Swapping `new` with the request ahead changes the pair's summed
+/// response ratio by `(L_new/E_ahead − L_ahead/E_new)/α`: the front wait,
+/// both requests' waits and the clock cancel (DESIGN.md §6). So the pass
+/// swaps iff `L_new·E_new < L_ahead·E_ahead` (Smith's rule), keeping the
+/// `1e-12` tolerance in response-ratio units: the test is
+/// `L_ahead/E_new − L_new/E_ahead > α·1e-12` multiplied through by
+/// `E_ahead·E_new`, so a step costs three multiplications and no division.
 ///
 /// Returns the decision; `queue` is modified in place.
 ///
@@ -94,19 +103,14 @@ pub enum StopReason {
 /// let short = QueueEntry {
 ///     id: 2, task: 1, exec_us: 5_000.0, left_us: 5_000.0, arrival_us: 100.0,
 /// };
-/// let decision = greedy_preempt(&mut queue, short, 0.0, 100.0, 4.0);
+/// let decision = greedy_preempt(&mut queue, short, 4.0);
 /// assert_eq!(decision.position, 0);
 /// assert_eq!(queue[0].id, 2);
 /// ```
-pub fn greedy_preempt(
-    queue: &mut Vec<QueueEntry>,
-    new: QueueEntry,
-    base_wait_us: f64,
-    now_us: f64,
-    alpha: f64,
-) -> PreemptDecision {
-    // Wait ahead of `new` if it sits at the tail: base + everyone's left.
-    let mut wait_before: f64 = base_wait_us + queue.iter().map(|e| e.left_us).sum::<f64>();
+pub fn greedy_preempt(queue: &mut Vec<QueueEntry>, new: QueueEntry, alpha: f64) -> PreemptDecision {
+    debug_assert!(alpha > 0.0);
+    let key = new.left_us * new.exec_us;
+    let tolerance = alpha * 1e-12 * new.exec_us;
     let mut pos = queue.len();
     let mut comparisons = 0usize;
     let mut stop = StopReason::QueueHead;
@@ -118,21 +122,9 @@ pub fn greedy_preempt(
             break;
         }
         comparisons += 1;
-        // Wait of the pair's front slot (everything ahead of `ahead`).
-        let front_wait = wait_before - ahead.left_us;
-
-        // Current order: ahead first, new second.
-        let rr_ahead_front = response_ratio(ahead, front_wait, now_us, alpha);
-        let rr_new_back = response_ratio(&new, front_wait + ahead.left_us, now_us, alpha);
-        // Swapped: new first, ahead second.
-        let rr_new_front = response_ratio(&new, front_wait, now_us, alpha);
-        let rr_ahead_back = response_ratio(ahead, front_wait + new.left_us, now_us, alpha);
-
-        let current = rr_ahead_front + rr_new_back;
-        let swapped = rr_new_front + rr_ahead_back;
-        if swapped + 1e-12 < current {
+        // α·E_ahead·E_new·(current − swapped) > α·E_ahead·E_new·1e-12.
+        if ahead.left_us * ahead.exec_us - key > tolerance * ahead.exec_us {
             pos -= 1;
-            wait_before = front_wait;
         } else {
             stop = StopReason::NoGain;
             break;
@@ -157,8 +149,10 @@ pub fn greedy_preempt(
 /// is exactly "swapping the pair lowers their summed response ratio",
 /// which is what [`greedy_preempt`] implements as a bubble pass; the
 /// equivalence is property-tested (`tests/prop_preempt.rs`). This
-/// transliteration exists so a reader can diff the code against the
-/// paper line by line.
+/// transliteration keeps every response-ratio term, waits and clock
+/// included, so a reader can diff the code against the paper line by
+/// line, and so that property test is what proves the terms
+/// [`greedy_preempt`] drops do cancel.
 ///
 /// Differences from the printed pseudocode, both necessary for it to be
 /// executable (and both noted in DESIGN.md):
@@ -244,7 +238,7 @@ mod tests {
     #[test]
     fn empty_queue_inserts_at_head() {
         let mut q = Vec::new();
-        let d = greedy_preempt(&mut q, entry(1, 0, 100.0, 0.0), 0.0, 0.0, ALPHA);
+        let d = greedy_preempt(&mut q, entry(1, 0, 100.0, 0.0), ALPHA);
         assert_eq!(d.position, 0);
         assert_eq!(d.stop, StopReason::QueueHead);
         assert_eq!(q.len(), 1);
@@ -255,7 +249,7 @@ mod tests {
         // A long request waits; a short one arrives: the short one's RR
         // gain dwarfs the long one's loss, so it jumps ahead.
         let mut q = vec![entry(1, 0, 60_000.0, 0.0)];
-        let d = greedy_preempt(&mut q, entry(2, 1, 5_000.0, 0.0), 0.0, 0.0, ALPHA);
+        let d = greedy_preempt(&mut q, entry(2, 1, 5_000.0, 0.0), ALPHA);
         assert_eq!(d.position, 0, "short request must preempt");
         assert_eq!(q[0].id, 2);
         assert_eq!(q[1].id, 1);
@@ -264,7 +258,7 @@ mod tests {
     #[test]
     fn long_does_not_preempt_short() {
         let mut q = vec![entry(1, 1, 5_000.0, 0.0)];
-        let d = greedy_preempt(&mut q, entry(2, 0, 60_000.0, 0.0), 0.0, 0.0, ALPHA);
+        let d = greedy_preempt(&mut q, entry(2, 0, 60_000.0, 0.0), ALPHA);
         assert_eq!(d.position, 1, "long request must queue behind");
         assert_eq!(d.stop, StopReason::NoGain);
     }
@@ -272,7 +266,7 @@ mod tests {
     #[test]
     fn same_task_stays_fifo() {
         let mut q = vec![entry(1, 3, 10_000.0, 0.0)];
-        let d = greedy_preempt(&mut q, entry(2, 3, 10_000.0, 100.0), 0.0, 100.0, ALPHA);
+        let d = greedy_preempt(&mut q, entry(2, 3, 10_000.0, 100.0), ALPHA);
         assert_eq!(d.position, 1);
         assert_eq!(d.stop, StopReason::SameTask);
         assert_eq!(d.comparisons, 0, "same-task check precedes any RR math");
@@ -283,7 +277,7 @@ mod tests {
         // Queue: [long(task0), short(task7)]; new short of task7 cannot
         // pass its sibling even though it could pass the long one.
         let mut q = vec![entry(1, 7, 5_000.0, 0.0), entry(2, 0, 60_000.0, 0.0)];
-        let d = greedy_preempt(&mut q, entry(3, 7, 5_000.0, 10.0), 0.0, 10.0, ALPHA);
+        let d = greedy_preempt(&mut q, entry(3, 7, 5_000.0, 10.0), ALPHA);
         // Bubbles past the long request (tail) then stops at the sibling.
         assert_eq!(q.iter().map(|e| e.id).collect::<Vec<_>>(), vec![1, 3, 2]);
         assert_eq!(d.stop, StopReason::SameTask);
@@ -297,7 +291,7 @@ mod tests {
         let mut q: Vec<QueueEntry> = (0..n)
             .map(|i| entry(i as u64, i as u32, 50_000.0, 0.0))
             .collect();
-        let d = greedy_preempt(&mut q, entry(999, 999, 100.0, 0.0), 0.0, 0.0, ALPHA);
+        let d = greedy_preempt(&mut q, entry(999, 999, 100.0, 0.0), ALPHA);
         assert_eq!(d.position, 0);
         assert_eq!(d.comparisons, n);
         assert_eq!(d.stop, StopReason::QueueHead);
@@ -315,7 +309,7 @@ mod tests {
         ];
         let new = entry(4, 3, 12_000.0, now);
         let base = 500.0;
-        let d = greedy_preempt(&mut q, new.clone(), base, now, ALPHA);
+        let d = greedy_preempt(&mut q, new, ALPHA);
         let pos = d.position;
 
         let pair_sum = |q: &Vec<QueueEntry>, i: usize| {
@@ -352,17 +346,5 @@ mod tests {
         let rr = response_ratio(&e, 2_000.0, 3_000.0, 2.0);
         // waited = 2500, waiting = 2000, left = 11000, target = 20000.
         assert!((rr - (2_500.0 + 2_000.0 + 11_000.0) / 20_000.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn base_wait_penalizes_everyone_equally() {
-        // The in-flight block delays all candidates identically, so it must
-        // not change the chosen order — only the absolute ratios.
-        let mk = || vec![entry(1, 0, 60_000.0, 0.0), entry(2, 1, 30_000.0, 0.0)];
-        let mut q1 = mk();
-        let mut q2 = mk();
-        let d1 = greedy_preempt(&mut q1, entry(3, 2, 5_000.0, 0.0), 0.0, 0.0, ALPHA);
-        let d2 = greedy_preempt(&mut q2, entry(3, 2, 5_000.0, 0.0), 20_000.0, 0.0, ALPHA);
-        assert_eq!(d1.position, d2.position);
     }
 }

@@ -96,7 +96,7 @@ struct CoreState {
     queue: Vec<QueueEntry>,
     blocks: HashMap<u64, VecDeque<f64>>,
     meta: HashMap<u64, Meta>,
-    running_end_us: Option<f64>,
+    block_in_flight: bool,
     closed: bool,
     next_id: u64,
     accepted: u64,
@@ -317,7 +317,6 @@ fn handle_infer(
             reply,
         },
     );
-    let base_wait = st.running_end_us.map(|e| (e - now).max(0.0)).unwrap_or(0.0);
     let t0 = Instant::now();
     let decision = greedy_preempt(
         &mut st.queue,
@@ -328,8 +327,6 @@ fn handle_infer(
             left_us: left,
             arrival_us: now,
         },
-        base_wait,
-        now,
         alpha,
     );
     let decision_ns = t0.elapsed().as_nanos() as u64;
@@ -380,7 +377,7 @@ fn handle_next_block(
     finished: Option<FinishedBlock>,
 ) -> CoreResp {
     if let Some(fin) = finished {
-        st.running_end_us = None;
+        st.block_in_flight = false;
         let end = shared.clock.now_us();
         shared.record(Event::BlockEnd {
             req: fin.id,
@@ -466,7 +463,7 @@ fn handle_next_block(
         .expect("queued request has blocks");
     st.queue[0].left_us -= blk;
     let now = shared.clock.now_us();
-    st.running_end_us = Some(now + blk);
+    st.block_in_flight = true;
     let (block_idx, boundary_bytes) = {
         let meta = st.meta.get_mut(&id).expect("meta");
         meta.start_us.get_or_insert(now);
@@ -677,7 +674,7 @@ impl Server {
         let decisions = self.shared.decisions.count();
         self.core.with_state(|st| QueueSnapshot {
             queued: st.queue.len(),
-            block_in_flight: st.running_end_us.is_some(),
+            block_in_flight: st.block_in_flight,
             head: st.queue.first().map(|e| (e.id, e.task)),
             decisions,
         })
