@@ -57,18 +57,6 @@ impl Timeline {
     pub fn into_trace(self) -> Trace {
         self.trace
     }
-
-    /// Export executed spans as telemetry block events
-    /// (see [`Trace::lifecycle_events`]).
-    pub fn lifecycle_events(&self) -> Vec<split_telemetry::Event> {
-        self.trace.lifecycle_events()
-    }
-
-    /// Sample device busy-fraction over `bucket_us` windows
-    /// (see [`Trace::utilization_series`]).
-    pub fn utilization_series(&self, bucket_us: f64) -> Vec<split_telemetry::Event> {
-        self.trace.utilization_series(bucket_us)
-    }
 }
 
 #[cfg(test)]

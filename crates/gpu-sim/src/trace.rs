@@ -73,6 +73,18 @@ pub struct TransferRecord {
     pub dur_us: f64,
 }
 
+impl TransferRecord {
+    /// The transfer as a telemetry [`Event::Transfer`].
+    pub fn event(&self) -> Event {
+        Event::Transfer {
+            req: self.req,
+            bytes: self.bytes,
+            t_us: self.start_us,
+            dur_us: self.dur_us,
+        }
+    }
+}
+
 /// An ordered collection of trace events.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Trace {
@@ -148,8 +160,17 @@ impl Trace {
         None
     }
 
-    /// Export the trace as telemetry [`Event::BlockStart`] /
-    /// [`Event::BlockEnd`] pairs, ordered by start time.
+    /// Export the trace as telemetry events: the [`Trace::block_events`]
+    /// pairs, then one [`Event::Transfer`] per transfer record.
+    pub fn lifecycle_events(&self) -> Vec<Event> {
+        self.block_events()
+            .chain(self.transfers.iter().map(TransferRecord::event))
+            .collect()
+    }
+
+    /// The trace's block spans as telemetry [`Event::BlockStart`] /
+    /// [`Event::BlockEnd`] pairs, ordered by start time and made on
+    /// demand.
     ///
     /// Request ids come from [`parse_block_label`]; spans with
     /// unparseable labels are skipped. Block indices are assigned per
@@ -159,66 +180,38 @@ impl Trace {
     /// folded several requests onto one lane — so the export always
     /// satisfies the recorder's no-same-stream-overlap invariant and
     /// renders one clean track per concurrency lane in Perfetto.
-    pub fn lifecycle_events(&self) -> Vec<Event> {
-        let mut spans: Vec<&TraceEvent> = self
+    pub fn block_events(&self) -> BlockEvents<'_> {
+        let mut spans: Vec<(&TraceEvent, u64)> = self
             .events
             .iter()
-            .filter(|e| parse_block_label(&e.label).is_some())
+            .filter_map(|e| parse_block_label(&e.label).map(|(_, req, _)| (e, req)))
             .collect();
-        spans.sort_by(|a, b| {
-            a.start_us
-                .total_cmp(&b.start_us)
-                .then(a.end_us.total_cmp(&b.end_us))
-        });
-
-        let mut blocks_seen: std::collections::HashMap<u64, usize> =
-            std::collections::HashMap::new();
-        // Greedy coloring: lane i is free once its last span has ended.
-        let mut lane_free_us: Vec<f64> = Vec::new();
-        let mut out = Vec::with_capacity(spans.len() * 2);
-        for e in spans {
-            let (_, req, _) = parse_block_label(&e.label).expect("filtered above");
-            let block = {
-                let n = blocks_seen.entry(req).or_insert(0);
-                let b = *n;
-                *n += 1;
-                b
-            };
-            let stream = match lane_free_us
-                .iter()
-                .position(|&free| free <= e.start_us + 1e-9)
-            {
-                Some(i) => {
-                    lane_free_us[i] = e.end_us;
-                    i
-                }
-                None => {
-                    lane_free_us.push(e.end_us);
-                    lane_free_us.len() - 1
-                }
-            } as u32;
-            out.push(Event::BlockStart {
-                req,
-                block,
-                stream,
-                t_us: e.start_us,
-            });
-            out.push(Event::BlockEnd {
-                req,
-                block,
-                stream,
-                t_us: e.end_us,
-            });
+        let by_start = |a: &(&TraceEvent, u64), b: &(&TraceEvent, u64)| {
+            a.0.start_us
+                .total_cmp(&b.0.start_us)
+                .then(a.0.end_us.total_cmp(&b.0.end_us))
+        };
+        // Sequential policies record in start order already; the sort is
+        // stable, so skipping it then changes nothing.
+        if !spans.is_sorted_by(|a, b| by_start(a, b).is_le()) {
+            spans.sort_by(by_start);
         }
-        for t in &self.transfers {
-            out.push(Event::Transfer {
-                req: t.req,
-                bytes: t.bytes,
-                t_us: t.start_us,
-                dur_us: t.dur_us,
-            });
-        }
-        out
+        let sequential = spans
+            .iter()
+            .all(|(e, _)| e.start_us.total_cmp(&e.end_us).is_lt())
+            && spans
+                .windows(2)
+                .all(|w| w[0].0.end_us.total_cmp(&w[1].0.start_us).is_le());
+        let mut events = BlockEvents {
+            spans: spans.into_iter(),
+            sequential,
+            blocks_seen: std::collections::HashMap::new(),
+            lane_free_us: Vec::new(),
+            start: None,
+            end: None,
+        };
+        events.advance();
+        events
     }
 
     /// Sample device utilization over fixed buckets of `bucket_us`,
@@ -250,13 +243,26 @@ impl Trace {
 
         let buckets = (((t1 - t0) / bucket_us).ceil() as usize).max(1);
         let mut out = Vec::with_capacity(buckets);
+        // One sweep: `merged` is ascending and disjoint, so the intervals
+        // that overlap bucket k are a contiguous range, and one that ends
+        // at or before a bucket's start overlaps no later bucket either.
+        // Summing only the positive overlaps, in ascending order from
+        // +0.0, gives every bucket the bits a scan over all intervals
+        // would (the skipped terms are all +0.0).
+        let mut first = 0;
         for k in 0..buckets {
             let lo = t0 + k as f64 * bucket_us;
             let hi = lo + bucket_us;
-            let busy: f64 = merged
-                .iter()
-                .map(|&(s, e)| (e.min(hi) - s.max(lo)).max(0.0))
-                .sum();
+            while first < merged.len() && merged[first].1 <= lo {
+                first += 1;
+            }
+            let mut busy = 0.0;
+            for &(s, e) in merged[first..].iter().take_while(|&&(s, _)| s < hi) {
+                let overlap = e.min(hi) - s.max(lo);
+                if overlap > 0.0 {
+                    busy += overlap;
+                }
+            }
             out.push(Event::Utilization {
                 busy: (busy / bucket_us).clamp(0.0, 1.0),
                 t_us: hi,
@@ -336,9 +342,322 @@ impl Trace {
     }
 }
 
+/// The block start/end pairs of a trace in span start order, made one
+/// span at a time ([`Trace::block_events`]). The next event is always
+/// made ahead, so [`BlockEvents::peek`] needs no mutable access.
+#[derive(Debug)]
+pub struct BlockEvents<'a> {
+    /// Spans not yet made into events, with their request ids.
+    spans: std::vec::IntoIter<(&'a TraceEvent, u64)>,
+    /// [`BlockEvents::is_sequential`], decided over all spans up front.
+    sequential: bool,
+    /// Blocks handed out per request so far.
+    blocks_seen: std::collections::HashMap<u64, usize>,
+    /// Greedy coloring: lane i is free once its last span has ended.
+    lane_free_us: Vec<f64>,
+    /// The current span's start, if not yet yielded, and its end.
+    start: Option<Event>,
+    end: Option<Event>,
+}
+
+impl BlockEvents<'_> {
+    /// The event [`Iterator::next`] returns next.
+    pub fn peek(&self) -> Option<&Event> {
+        self.start.as_ref().or(self.end.as_ref())
+    }
+
+    /// Whether the trace's block spans run one at a time: each ends
+    /// strictly after it starts and no later than the next one starts
+    /// (under [`f64::total_cmp`]). Then every event is at or after the
+    /// one before it, and an end that meets the next start comes first.
+    /// The answer covers all the spans, however many events were taken.
+    pub fn is_sequential(&self) -> bool {
+        self.sequential
+    }
+
+    /// Make the next span's pair.
+    fn advance(&mut self) {
+        let Some((e, req)) = self.spans.next() else {
+            return;
+        };
+        let block = {
+            let n = self.blocks_seen.entry(req).or_insert(0);
+            let b = *n;
+            *n += 1;
+            b
+        };
+        let stream = match self
+            .lane_free_us
+            .iter()
+            .position(|&free| free <= e.start_us + 1e-9)
+        {
+            Some(i) => {
+                self.lane_free_us[i] = e.end_us;
+                i
+            }
+            None => {
+                self.lane_free_us.push(e.end_us);
+                self.lane_free_us.len() - 1
+            }
+        } as u32;
+        self.start = Some(Event::BlockStart {
+            req,
+            block,
+            stream,
+            t_us: e.start_us,
+        });
+        self.end = Some(Event::BlockEnd {
+            req,
+            block,
+            stream,
+            t_us: e.end_us,
+        });
+    }
+}
+
+impl Iterator for BlockEvents<'_> {
+    type Item = Event;
+
+    fn next(&mut self) -> Option<Event> {
+        if let Some(start) = self.start.take() {
+            return Some(start);
+        }
+        let end = self.end.take()?;
+        self.advance();
+        Some(end)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = 2 * self.spans.len()
+            + usize::from(self.start.is_some())
+            + usize::from(self.end.is_some());
+        (n, Some(n))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The per-bucket full scan [`Trace::utilization_series`] replaced,
+    /// kept as its reference.
+    fn utilization_full_scan(t: &Trace, bucket_us: f64) -> Vec<Event> {
+        if t.events.is_empty() {
+            return Vec::new();
+        }
+        let t0 = t
+            .events
+            .iter()
+            .map(|e| e.start_us)
+            .fold(f64::INFINITY, f64::min);
+        let t1 = t.events.iter().map(|e| e.end_us).fold(t0, f64::max);
+        let mut iv: Vec<(f64, f64)> = t.events.iter().map(|e| (e.start_us, e.end_us)).collect();
+        iv.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let mut merged: Vec<(f64, f64)> = Vec::new();
+        for (s, e) in iv {
+            match merged.last_mut() {
+                Some(last) if s <= last.1 + 1e-9 => last.1 = last.1.max(e),
+                _ => merged.push((s, e)),
+            }
+        }
+        let buckets = (((t1 - t0) / bucket_us).ceil() as usize).max(1);
+        (0..buckets)
+            .map(|k| {
+                let lo = t0 + k as f64 * bucket_us;
+                let hi = lo + bucket_us;
+                let busy: f64 = merged
+                    .iter()
+                    .map(|&(s, e)| (e.min(hi) - s.max(lo)).max(0.0))
+                    .sum();
+                Event::Utilization {
+                    busy: (busy / bucket_us).clamp(0.0, 1.0),
+                    t_us: hi,
+                }
+            })
+            .collect()
+    }
+
+    /// [`Trace::lifecycle_events`] before it parsed each label once and
+    /// skipped the sort of in-order spans, kept as its reference.
+    fn lifecycle_events_parse_twice(t: &Trace) -> Vec<Event> {
+        let mut spans: Vec<&TraceEvent> = t
+            .events
+            .iter()
+            .filter(|e| parse_block_label(&e.label).is_some())
+            .collect();
+        spans.sort_by(|a, b| {
+            a.start_us
+                .total_cmp(&b.start_us)
+                .then(a.end_us.total_cmp(&b.end_us))
+        });
+        let mut blocks_seen: std::collections::HashMap<u64, usize> =
+            std::collections::HashMap::new();
+        let mut lane_free_us: Vec<f64> = Vec::new();
+        let mut out = Vec::new();
+        for e in spans {
+            let (_, req, _) = parse_block_label(&e.label).expect("filtered above");
+            let n = blocks_seen.entry(req).or_insert(0);
+            let block = *n;
+            *n += 1;
+            let stream = match lane_free_us
+                .iter()
+                .position(|&free| free <= e.start_us + 1e-9)
+            {
+                Some(i) => {
+                    lane_free_us[i] = e.end_us;
+                    i
+                }
+                None => {
+                    lane_free_us.push(e.end_us);
+                    lane_free_us.len() - 1
+                }
+            } as u32;
+            out.push(Event::BlockStart {
+                req,
+                block,
+                stream,
+                t_us: e.start_us,
+            });
+            out.push(Event::BlockEnd {
+                req,
+                block,
+                stream,
+                t_us: e.end_us,
+            });
+        }
+        out.extend(t.transfers.iter().map(|x| Event::Transfer {
+            req: x.req,
+            bytes: x.bytes,
+            t_us: x.start_us,
+            dur_us: x.dur_us,
+        }));
+        out
+    }
+
+    /// `(t_us bits, busy bits)` of each utilization sample.
+    fn sample_bits(events: &[Event]) -> Vec<(u64, u64)> {
+        events
+            .iter()
+            .map(|e| match e {
+                Event::Utilization { busy, t_us } => (t_us.to_bits(), busy.to_bits()),
+                other => panic!("not a utilization sample: {other:?}"),
+            })
+            .collect()
+    }
+
+    /// Traces of spans on a coarse grid (touching and overlapping spans
+    /// are common, zero-length ones too), in shuffled recording order,
+    /// with some unparseable labels and a few transfers.
+    fn grid_trace() -> impl Strategy<Value = Trace> {
+        (
+            collection::vec((0u32..60, 0u32..12, 0u64..6, 0usize..3, 0u8..5), 1..40),
+            collection::vec((0u64..6, 0u32..60), 0..5),
+            0.0f64..1e6,
+            1u32..8,
+        )
+            .prop_map(|(spans, transfers, offset, scale)| {
+                let at = |x: u32| offset + f64::from(x * scale) * 0.25;
+                let mut t = Trace::new();
+                for (start, len, req, stream, kind) in spans {
+                    let label = match kind {
+                        0 => "idle".to_string(),
+                        1 => format!("m#{req}"),
+                        _ => format!("m#{req}/b{kind}"),
+                    };
+                    t.record(label, stream, at(start), at(start + len));
+                }
+                for (req, start) in transfers {
+                    t.record_transfer(req, 64, at(start), 0.0);
+                }
+                t
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The sweep's samples equal the full scan's, bit for bit, for
+        /// bucket widths from a fraction of a span to wider than the
+        /// whole trace.
+        #[test]
+        fn utilization_sweep_equals_full_scan(
+            t in grid_trace(),
+            bucket in bucket_width(),
+        ) {
+            prop_assert_eq!(
+                sample_bits(&t.utilization_series(bucket)),
+                sample_bits(&utilization_full_scan(&t, bucket))
+            );
+        }
+
+        #[test]
+        fn lifecycle_events_match_the_parse_twice_reference(t in grid_trace()) {
+            prop_assert_eq!(t.lifecycle_events(), lifecycle_events_parse_twice(&t));
+        }
+
+        /// `peek` shows what `next` returns, `size_hint` is exact, and
+        /// `is_sequential` holds exactly when every event is at or after
+        /// the one before it, an end ahead of a start at the same time.
+        #[test]
+        fn block_events_peek_and_sequential_flag_are_exact(
+            (pick, grid, chain) in (0u8..2, grid_trace(), chain_trace()),
+        ) {
+            let t = if pick == 0 { grid } else { chain };
+            let mut it = t.block_events();
+            let sequential = it.is_sequential();
+            let mut events = Vec::new();
+            loop {
+                let left = it.size_hint();
+                let peeked = it.peek().cloned();
+                let next = it.next();
+                prop_assert_eq!(left.1, Some(left.0));
+                prop_assert_eq!(&peeked, &next);
+                match next {
+                    Some(e) => {
+                        prop_assert_eq!(left.0, it.size_hint().0 + 1);
+                        events.push(e);
+                    }
+                    None => {
+                        prop_assert_eq!(left.0, 0);
+                        break;
+                    }
+                }
+            }
+            let key = |e: &Event| (e.t_us(), matches!(e, Event::BlockStart { .. }));
+            let in_order = events.windows(2).all(|w| {
+                let (a, b) = (key(&w[0]), key(&w[1]));
+                a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).is_le()
+            });
+            prop_assert_eq!(sequential, in_order);
+        }
+    }
+
+    /// Block spans laid one after another on one stream, each after a
+    /// gap of zero or more and of zero or more length, so that some
+    /// traces run strictly one span at a time and some do not.
+    fn chain_trace() -> impl Strategy<Value = Trace> {
+        collection::vec((0u32..3, 0u32..4, 0u64..4), 0..12).prop_map(|spans| {
+            let mut t = Trace::new();
+            let mut at = 0.0;
+            for (gap, len, req) in spans {
+                let start = at + f64::from(gap);
+                at = start + f64::from(len);
+                t.record(format!("m#{req}"), 0, start, at);
+            }
+            t
+        })
+    }
+
+    /// Bucket widths: a sub-span slice, a typical width, and widths
+    /// beyond any generated trace's span.
+    fn bucket_width() -> impl Strategy<Value = f64> {
+        (0u8..3, 0.01f64..1.0).prop_map(|(kind, f)| match kind {
+            0 => 0.05 + f,
+            1 => 1.0 + f * 40.0,
+            _ => 1e4 + f * 1e7,
+        })
+    }
 
     #[test]
     fn record_and_query() {

@@ -5,7 +5,7 @@ use crate::policy::{
     StreamParallelCfg,
 };
 use crate::request::{Completion, ModelTable};
-use gpu_sim::Trace;
+use gpu_sim::{BlockEvents, Trace, TransferRecord};
 use workload::Arrival;
 
 /// A policy choice with its configuration.
@@ -165,6 +165,12 @@ impl SimResult {
     }
 }
 
+/// [`event_rank`] of the events the derived runs produce on demand.
+const ARRIVAL_RANK: u8 = 0;
+const QUEUE_DEPTH_RANK: u8 = 4;
+const TRANSFER_RANK: u8 = 7;
+const COMPLETION_RANK: u8 = 8;
+
 /// Ordering rank for events sharing a timestamp, so a merged recording
 /// satisfies [`split_telemetry::Recorder::validate`]: a request arrives
 /// before it is enqueued, a block ends before the next one starts at the
@@ -172,106 +178,283 @@ impl SimResult {
 fn event_rank(e: &split_telemetry::Event) -> u8 {
     use split_telemetry::Event as E;
     match e {
-        E::Arrival { .. } => 0,
+        E::Arrival { .. } => ARRIVAL_RANK,
         E::Downgrade { .. } => 1,
         E::PreemptDecision { .. } => 2,
         E::Enqueue { .. } => 3,
-        E::QueueDepth { .. } => 4,
+        E::QueueDepth { .. } => QUEUE_DEPTH_RANK,
         E::BlockEnd { .. } => 5,
         E::BlockStart { .. } => 6,
-        E::Transfer { .. } => 7,
-        E::Completion { .. } => 8,
+        E::Transfer { .. } => TRANSFER_RANK,
+        E::Completion { .. } => COMPLETION_RANK,
         E::Utilization { .. } | E::Mark { .. } => 9,
     }
+}
+
+/// The recording's order key `(t_us, rank)` packed into one integer:
+/// the time maps onto `u64` the way [`f64::total_cmp`] orders it, and the
+/// rank fills the low byte, so comparing two keys is comparing
+/// `(t_us.total_cmp, rank)`.
+fn order_key(t_us: f64, rank: u8) -> u128 {
+    let bits = t_us.to_bits() as i64;
+    let total = bits ^ (((bits >> 63) as u64) >> 1) as i64;
+    let unsigned = (total as u64) ^ (1 << 63);
+    (u128::from(unsigned) << 8) | u128::from(rank)
+}
+
+/// [`order_key`] of an event: its time, then [`event_rank`].
+fn merge_key(e: &split_telemetry::Event) -> u128 {
+    order_key(e.t_us(), event_rank(e))
+}
+
+fn arrival_key(a: &Arrival) -> u128 {
+    order_key(a.arrival_us, ARRIVAL_RANK)
+}
+
+fn transfer_key(t: &TransferRecord) -> u128 {
+    order_key(t.start_us, TRANSFER_RANK)
+}
+
+fn completion_key(c: &Completion) -> u128 {
+    order_key(c.end_us, COMPLETION_RANK)
+}
+
+fn step_key(step: &(f64, i64)) -> u128 {
+    order_key(step.0, QUEUE_DEPTH_RANK)
+}
+
+/// One source of the merged recording. The derived sources produce
+/// their events on demand instead of filling a vector first.
+enum Run<'a> {
+    /// Events made up front.
+    Events(std::vec::IntoIter<split_telemetry::Event>),
+    /// One arrival event per request.
+    Arrivals(std::slice::Iter<'a, Arrival>),
+    /// The trace's block start/end pairs.
+    Blocks(Box<BlockEvents<'a>>),
+    /// One transfer event per transfer record of the trace.
+    Transfers(std::slice::Iter<'a, TransferRecord>),
+    /// One completion event per completed request.
+    Completions(std::slice::Iter<'a, Completion>),
+    /// The in-system request count after each arrival (+1) and
+    /// completion (−1) step.
+    QueueDepth {
+        steps: std::vec::IntoIter<(f64, i64)>,
+        depth: i64,
+    },
+}
+
+impl Run<'_> {
+    /// Key of the next event, if any.
+    fn head_key(&self) -> Option<u128> {
+        match self {
+            Run::Events(it) => it.as_slice().first().map(merge_key),
+            Run::Arrivals(it) => it.as_slice().first().map(arrival_key),
+            Run::Blocks(it) => it.peek().map(merge_key),
+            Run::Transfers(it) => it.as_slice().first().map(transfer_key),
+            Run::Completions(it) => it.as_slice().first().map(completion_key),
+            Run::QueueDepth { steps, .. } => steps.as_slice().first().map(step_key),
+        }
+    }
+
+    /// Whether the remaining events are in key order.
+    fn in_key_order(&self) -> bool {
+        match self {
+            Run::Events(it) => it.as_slice().is_sorted_by_key(merge_key),
+            Run::Arrivals(it) => it.as_slice().is_sorted_by_key(arrival_key),
+            // A block end ranks before a block start, so pairs of spans
+            // that run one at a time are in key order.
+            Run::Blocks(it) => it.is_sequential(),
+            Run::Transfers(it) => it.as_slice().is_sorted_by_key(transfer_key),
+            Run::Completions(it) => it.as_slice().is_sorted_by_key(completion_key),
+            Run::QueueDepth { steps, .. } => steps.as_slice().is_sorted_by_key(step_key),
+        }
+    }
+}
+
+impl Iterator for Run<'_> {
+    type Item = split_telemetry::Event;
+
+    fn next(&mut self) -> Option<split_telemetry::Event> {
+        use split_telemetry::Event as E;
+        match self {
+            Run::Events(it) => it.next(),
+            Run::Arrivals(it) => it.next().map(|a| E::Arrival {
+                req: a.id,
+                model: a.model.clone(),
+                t_us: a.arrival_us,
+            }),
+            Run::Blocks(it) => it.next(),
+            Run::Transfers(it) => it.next().map(TransferRecord::event),
+            Run::Completions(it) => it.next().map(|c| E::Completion {
+                req: c.id,
+                t_us: c.end_us,
+            }),
+            Run::QueueDepth { steps, depth } => steps.next().map(|(t_us, d)| {
+                *depth += d;
+                E::QueueDepth {
+                    depth: (*depth).max(0) as usize,
+                    t_us,
+                }
+            }),
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        match self {
+            Run::Events(it) => it.size_hint(),
+            Run::Arrivals(it) => it.size_hint(),
+            Run::Blocks(it) => it.size_hint(),
+            Run::Transfers(it) => it.size_hint(),
+            Run::Completions(it) => it.size_hint(),
+            Run::QueueDepth { steps, .. } => steps.size_hint(),
+        }
+    }
+}
+
+/// Stable k-way merge of `runs` on [`merge_key`]. Ties go to the earlier
+/// run, then to the earlier event within it, so the result is exactly
+/// what a stable sort of the runs' concatenation returns (DESIGN.md §8).
+/// A run that is not already in key order is made and stably sorted
+/// first.
+fn merge_runs(runs: Vec<Run<'_>>) -> Vec<split_telemetry::Event> {
+    let mut heads: Vec<Run<'_>> = Vec::with_capacity(runs.len());
+    for run in runs {
+        if run.in_key_order() {
+            heads.push(run);
+        } else {
+            let mut events: Vec<_> = run.collect();
+            events.sort_by_key(merge_key);
+            heads.push(Run::Events(events.into_iter()));
+        }
+    }
+    // Ask for a size class rather than the exact length. The lanes of a
+    // fleet record within a few percent of one another, so they ask for
+    // one size and each reuses the buffer the last one freed, instead of
+    // growing the heap or mapping fresh memory for a slightly larger one.
+    let mut out = Vec::with_capacity(size_class(heads.iter().map(|r| r.size_hint().0).sum()));
+    // Head keys live apart from the runs so the per-event scan reads one
+    // small contiguous array. Removing an exhausted run keeps the others
+    // in run order, which the tie rule depends on.
+    heads.retain(|r| r.head_key().is_some());
+    let mut keys: Vec<u128> = heads.iter().filter_map(Run::head_key).collect();
+    while heads.len() > 1 {
+        let mut best = 0;
+        for (i, &k) in keys.iter().enumerate().skip(1) {
+            if k < keys[best] {
+                best = i;
+            }
+        }
+        // Keep taking from the chosen run while its head stays strictly
+        // below every other run's: no tie can arise, so no rescan is due.
+        let bound = (keys.iter().enumerate())
+            .filter(|&(i, _)| i != best)
+            .map(|(_, &k)| k)
+            .min()
+            .expect("at least two runs");
+        let run = &mut heads[best];
+        loop {
+            out.extend(run.next());
+            match run.head_key() {
+                Some(k) if k < bound => {}
+                Some(k) => {
+                    keys[best] = k;
+                    break;
+                }
+                None => {
+                    keys.remove(best);
+                    heads.remove(best);
+                    break;
+                }
+            }
+        }
+    }
+    out.extend(heads.into_iter().flatten());
+    out
+}
+
+/// `n` rounded up to one of eight steps per doubling (exact below 64),
+/// so it exceeds `n` by less than 12.5%.
+fn size_class(n: usize) -> usize {
+    if n < 64 {
+        return n;
+    }
+    let step = 1 << (n.ilog2() - 3);
+    n.div_ceil(step) * step
 }
 
 /// Number of utilization samples synthesized over a trace's span.
 const UTILIZATION_BUCKETS: usize = 64;
 
-/// Rebuild `result.recorder` as the full lifecycle recording: the
-/// policy's own decision events plus the uniform events derived from
-/// arrivals, the device trace, and completions. Every policy goes
-/// through [`simulate`], so recordings from SPLIT and the baselines
-/// validate and export identically. Public so harnesses that call a
-/// policy function directly (e.g. the Figure 3 round-robin ablation)
-/// can still produce a full recording.
-pub fn attach_lifecycle(arrivals: &[Arrival], mut result: SimResult) -> SimResult {
-    // Compute the derived pieces first so the merged vector can be
-    // allocated exactly once, then fill it in the same source order as
-    // always: arrivals, trace lifecycle, completions, queue depth,
-    // utilization, policy recorder. The stable sort below is what
-    // actually orders the recording, but the concatenation order is the
-    // tie-break *input* order, so it must not change.
-    let trace_events = result.trace.lifecycle_events();
+/// The lifecycle events as runs for [`merge_runs`], in the run order
+/// that breaks its ties: arrivals, block start/end pairs, transfers,
+/// completions, queue depth, utilization, and the policy's own decision
+/// events. Each run is in key order by construction except the block
+/// pairs of a multi-stream trace (and arrivals or completions a caller
+/// passes out of time order).
+fn lifecycle_runs<'a>(
+    arrivals: &'a [Arrival],
+    completions: &'a [Completion],
+    trace: &'a Trace,
+    policy_events: Vec<split_telemetry::Event>,
+) -> Vec<Run<'a>> {
     let utilization = {
-        let span = result
-            .trace
+        let span = trace
             .events()
             .iter()
             .map(|e| e.end_us)
             .fold(None::<f64>, |m, e| Some(m.map_or(e, |m| m.max(e))));
         match span {
             Some(span) => {
-                let t0 = result
-                    .trace
+                let t0 = trace
                     .events()
                     .iter()
                     .map(|e| e.start_us)
                     .fold(f64::INFINITY, f64::min);
                 let bucket = ((span - t0) / UTILIZATION_BUCKETS as f64).max(1.0);
-                result.trace.utilization_series(bucket)
+                trace.utilization_series(bucket)
             }
             None => Vec::new(),
         }
     };
-    // Move the policy's decision events out instead of cloning each one.
-    let policy_events = std::mem::take(&mut result.recorder).into_events();
 
     // In-system request count: +1 on arrival, -1 on completion
     // (completions first on ties so an instant never over-counts).
-    let mut deltas: Vec<(f64, i64)> = Vec::with_capacity(arrivals.len() + result.completions.len());
-    deltas.extend(arrivals.iter().map(|a| (a.arrival_us, 1)));
-    deltas.extend(result.completions.iter().map(|c| (c.end_us, -1)));
-    deltas.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    let mut steps: Vec<(f64, i64)> = Vec::with_capacity(arrivals.len() + completions.len());
+    steps.extend(arrivals.iter().map(|a| (a.arrival_us, 1)));
+    steps.extend(completions.iter().map(|c| (c.end_us, -1)));
+    steps.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
 
-    let mut events: Vec<split_telemetry::Event> = Vec::with_capacity(
-        arrivals.len()
-            + trace_events.len()
-            + result.completions.len()
-            + deltas.len()
-            + utilization.len()
-            + policy_events.len(),
-    );
-    events.extend(arrivals.iter().map(|a| split_telemetry::Event::Arrival {
-        req: a.id,
-        model: a.model.clone(),
-        t_us: a.arrival_us,
-    }));
-    events.extend(trace_events);
-    events.extend(
-        result
-            .completions
-            .iter()
-            .map(|c| split_telemetry::Event::Completion {
-                req: c.id,
-                t_us: c.end_us,
-            }),
-    );
-    let mut depth = 0i64;
-    events.extend(deltas.into_iter().map(|(t_us, d)| {
-        depth += d;
-        split_telemetry::Event::QueueDepth {
-            depth: depth.max(0) as usize,
-            t_us,
-        }
-    }));
-    events.extend(utilization);
-    events.extend(policy_events);
-    events.sort_by(|a, b| {
-        a.t_us()
-            .total_cmp(&b.t_us())
-            .then(event_rank(a).cmp(&event_rank(b)))
-    });
+    vec![
+        Run::Arrivals(arrivals.iter()),
+        Run::Blocks(Box::new(trace.block_events())),
+        Run::Transfers(trace.transfers().iter()),
+        Run::Completions(completions.iter()),
+        Run::QueueDepth {
+            steps: steps.into_iter(),
+            depth: 0,
+        },
+        Run::Events(utilization.into_iter()),
+        Run::Events(policy_events.into_iter()),
+    ]
+}
+
+/// Rebuild `result.recorder` as the full lifecycle recording: the
+/// policy's own decision events plus the uniform events derived from
+/// arrivals, the device trace, and completions, merged into
+/// `(t_us, event_rank)` order. Every policy goes through [`simulate`],
+/// so recordings from SPLIT and the baselines validate and export
+/// identically. Public so harnesses that call a policy function directly
+/// (e.g. the Figure 3 round-robin ablation) can still produce a full
+/// recording.
+pub fn attach_lifecycle(arrivals: &[Arrival], mut result: SimResult) -> SimResult {
+    let policy_events = std::mem::take(&mut result.recorder).into_events();
+    let events = merge_runs(lifecycle_runs(
+        arrivals,
+        &result.completions,
+        &result.trace,
+        policy_events,
+    ));
 
     // Pin the recording decision now (scoped `with_flight` overrides
     // end with the caller): off pins the disabled snapshot; on leaves
@@ -286,23 +469,258 @@ pub fn attach_lifecycle(arrivals: &[Arrival], mut result: SimResult) -> SimResul
     result
 }
 
-/// Serve `arrivals` over `models` with the chosen policy.
-pub fn simulate(policy: &Policy, arrivals: &[Arrival], models: &ModelTable) -> SimResult {
-    let result = match policy {
+/// The policy's own result, before [`attach_lifecycle`].
+fn serve(policy: &Policy, arrivals: &[Arrival], models: &ModelTable) -> SimResult {
+    match policy {
         Policy::Split(cfg) => split(arrivals, models, cfg),
         Policy::ClockWork => clockwork(arrivals, models),
         Policy::Prema(cfg) => prema(arrivals, models, cfg),
         Policy::Rta(cfg) => rta(arrivals, models, cfg),
         Policy::StreamParallel(cfg) => stream_parallel(arrivals, models, cfg),
         Policy::Sjf => sjf(arrivals, models),
-    };
-    attach_lifecycle(arrivals, result)
+    }
+}
+
+/// Serve `arrivals` over `models` with the chosen policy.
+pub fn simulate(policy: &Policy, arrivals: &[Arrival], models: &ModelTable) -> SimResult {
+    attach_lifecycle(arrivals, serve(policy, arrivals, models))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::request::ModelRuntime;
+    use proptest::prelude::*;
+    use split_telemetry::Event;
+
+    #[test]
+    fn size_class_rounds_up_by_under_an_eighth() {
+        let mut last = 0;
+        for n in (0..5_000).chain([65_535, 65_536, 67_791, 1 << 40]) {
+            let c = size_class(n);
+            assert!(c >= n && c >= last, "{n} -> {c}");
+            assert!(n < 64 && c == n || c - n < n / 8, "{n} -> {c}");
+            last = c;
+        }
+        // Lanes a few percent apart share a class.
+        assert_eq!(size_class(67_034), size_class(67_791));
+    }
+
+    /// The algorithm [`merge_runs`] replaced, kept as its reference: a
+    /// stable sort of the runs' concatenation.
+    fn sort_concatenation(runs: Vec<Run<'_>>) -> Vec<Event> {
+        let mut events: Vec<Event> = runs.into_iter().flatten().collect();
+        events.sort_by(|a, b| {
+            a.t_us()
+                .total_cmp(&b.t_us())
+                .then(event_rank(a).cmp(&event_rank(b)))
+        });
+        events
+    }
+
+    /// Every field of `e`, each `f64` compared by its bits: `Debug` tells
+    /// every other field apart, and the `f64` fields are `t_us`, a
+    /// transfer's `dur_us` and a utilization sample's `busy`.
+    fn exact(e: &Event) -> (String, u64, u64) {
+        let extra = match e {
+            Event::Transfer { dur_us, .. } => dur_us.to_bits(),
+            Event::Utilization { busy, .. } => busy.to_bits(),
+            _ => 0,
+        };
+        (format!("{e:?}"), e.t_us().to_bits(), extra)
+    }
+
+    fn exact_all<'a>(events: impl IntoIterator<Item = &'a Event>) -> Vec<(String, u64, u64)> {
+        events.into_iter().map(exact).collect()
+    }
+
+    /// A deployment whose block and execution times are whole
+    /// milliseconds, so block boundaries of different requests, and
+    /// arrivals on the same grid, land on the same instant.
+    fn grid_table() -> impl Strategy<Value = ModelTable> {
+        collection::vec((1u32..6, 1usize..4), 1..4).prop_map(|models| {
+            let mut t = ModelTable::new();
+            for (i, (ms, blocks)) in models.into_iter().enumerate() {
+                let block_us = f64::from(ms) * 1_000.0;
+                let name = format!("m{i}");
+                if blocks == 1 {
+                    t.insert(ModelRuntime::vanilla(name, i as u32, block_us));
+                } else {
+                    let exec = block_us * blocks as f64;
+                    t.insert(ModelRuntime::split(
+                        name,
+                        i as u32,
+                        exec,
+                        vec![block_us; blocks],
+                    ));
+                }
+            }
+            t
+        })
+    }
+
+    /// Arrivals on a 1 ms grid, many of them simultaneous.
+    fn grid_workload() -> impl Strategy<Value = (ModelTable, Vec<Arrival>)> {
+        (grid_table(), collection::vec((0u32..25, 0usize..4), 1..40)).prop_map(|(table, raw)| {
+            let n = table.len();
+            let mut arrivals: Vec<Arrival> = raw
+                .into_iter()
+                .map(|(slot, m)| Arrival {
+                    id: 0,
+                    model: format!("m{}", m % n),
+                    arrival_us: f64::from(slot) * 1_000.0,
+                })
+                .collect();
+            arrivals.sort_by(|a, b| a.arrival_us.total_cmp(&b.arrival_us));
+            for (i, a) in arrivals.iter_mut().enumerate() {
+                a.id = i as u64;
+            }
+            (table, arrivals)
+        })
+    }
+
+    /// Every `Policy` variant plus the Figure 3 block round-robin, as the
+    /// raw results `attach_lifecycle` receives.
+    fn raw_results(arrivals: &[Arrival], table: &ModelTable) -> Vec<(&'static str, SimResult)> {
+        let mut policies = Policy::all_default();
+        policies.push(Policy::StreamParallel(Default::default()));
+        policies.push(Policy::Sjf);
+        policies.push(Policy::Split(crate::policy::SplitCfg {
+            alpha: 4.0,
+            elastic: None,
+        }));
+        let mut out: Vec<(&'static str, SimResult)> = policies
+            .iter()
+            .map(|p| (p.name(), serve(p, arrivals, table)))
+            .collect();
+        out.push((
+            "block-RR",
+            crate::policy::block_round_robin(arrivals, table),
+        ));
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The merged recording is the stable sort of the concatenated
+        /// runs, event for event and bit for bit, for every policy.
+        #[test]
+        fn attach_merge_equals_sorted_concatenation((table, arrivals) in grid_workload()) {
+            for (name, raw) in raw_results(&arrivals, &table) {
+                let expected = sort_concatenation(lifecycle_runs(
+                    &arrivals,
+                    &raw.completions,
+                    &raw.trace,
+                    raw.recorder.clone().into_events(),
+                ));
+                let merged = attach_lifecycle(&arrivals, raw);
+                prop_assert_eq!(
+                    exact_all(merged.recorder.events()),
+                    exact_all(&expected),
+                    "{}",
+                    name
+                );
+                prop_assert!(merged.recorder.validate().is_empty(), "{}", name);
+            }
+        }
+
+        /// Runs with heavy key ties across and within runs, some of them
+        /// out of order (the pre-sort and fallback paths), merge to the
+        /// stable sort of their concatenation.
+        #[test]
+        fn merge_runs_is_a_stable_sort(
+            runs in collection::vec(
+                (collection::vec((0u8..4, 0u8..6, 0u64..1_000), 0..12), 0u8..2),
+                0..6,
+            ),
+            stamps in collection::vec((0u8..4, 0u8..4), 0..12),
+            sorted in (0u8..2, 0u8..2),
+        ) {
+            let runs: Vec<Vec<Event>> = runs
+                .into_iter()
+                .map(|(raw, sorted)| {
+                    let mut run: Vec<Event> = raw
+                        .into_iter()
+                        .map(|(t, kind, req)| {
+                            let t_us = f64::from(t) * 0.5;
+                            match kind {
+                                0 => Event::Completion { req, t_us },
+                                1 => Event::QueueDepth { depth: req as usize, t_us },
+                                2 => Event::BlockEnd { req, block: 0, stream: 0, t_us },
+                                3 => Event::BlockStart { req, block: 0, stream: 0, t_us },
+                                4 => Event::Arrival { req, model: "m".into(), t_us },
+                                _ => Event::Utilization { busy: req as f64 / 1e3, t_us },
+                            }
+                        })
+                        .collect();
+                    if sorted == 1 {
+                        run.sort_by_key(merge_key);
+                    }
+                    run
+                })
+                .collect();
+            let mut arrivals: Vec<Arrival> = stamps
+                .iter()
+                .enumerate()
+                .map(|(i, &(t, _))| Arrival {
+                    id: i as u64,
+                    model: "m".into(),
+                    arrival_us: f64::from(t) * 0.5,
+                })
+                .collect();
+            let mut completions: Vec<Completion> = stamps
+                .iter()
+                .enumerate()
+                .map(|(i, &(t, dt))| Completion {
+                    id: i as u64,
+                    model: "m".into(),
+                    task: 0,
+                    arrival_us: f64::from(t) * 0.5,
+                    start_us: f64::from(t) * 0.5,
+                    end_us: f64::from(t + dt) * 0.5,
+                    exec_us: 1.0,
+                })
+                .collect();
+            if sorted.0 == 1 {
+                arrivals.sort_by(|a, b| a.arrival_us.total_cmp(&b.arrival_us));
+            }
+            if sorted.1 == 1 {
+                completions.sort_by(|a, b| a.end_us.total_cmp(&b.end_us));
+            }
+            let all = |runs: &[Vec<Event>]| {
+                let mut all = vec![
+                    Run::Arrivals(arrivals.iter()),
+                    Run::Completions(completions.iter()),
+                ];
+                all.extend(runs.iter().map(|r| Run::Events(r.clone().into_iter())));
+                all
+            };
+            let expected = sort_concatenation(all(&runs));
+            prop_assert_eq!(exact_all(&merge_runs(all(&runs))), exact_all(&expected));
+        }
+    }
+
+    #[test]
+    fn merge_key_orders_like_total_cmp() {
+        let times = [
+            f64::NEG_INFINITY,
+            -2.5,
+            -0.0,
+            0.0,
+            1e-300,
+            3.0,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        for &a in &times {
+            for &b in &times {
+                let ka = merge_key(&Event::Completion { req: 0, t_us: a });
+                let kb = merge_key(&Event::Completion { req: 0, t_us: b });
+                assert_eq!(ka.cmp(&kb), a.total_cmp(&b), "{a} vs {b}");
+            }
+        }
+    }
 
     fn table() -> ModelTable {
         let mut t = ModelTable::new();

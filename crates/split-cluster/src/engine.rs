@@ -208,10 +208,16 @@ fn summarize(
     }
     let mut sketches: BTreeMap<String, QuantileSketch> = BTreeMap::new();
     for c in &completions {
-        sketches
-            .entry(c.model.to_string())
-            .or_insert_with(|| QuantileSketch::new(SKETCH_ALPHA))
-            .record(c.e2e_us().round() as u64);
+        let e2e = c.e2e_us().round() as u64;
+        // Allocate the key only on the model's first completion.
+        match sketches.get_mut(&*c.model) {
+            Some(sketch) => sketch.record(e2e),
+            None => {
+                let mut sketch = QuantileSketch::new(SKETCH_ALPHA);
+                sketch.record(e2e);
+                sketches.insert(c.model.to_string(), sketch);
+            }
+        }
     }
     let (busy_us, span_us) = {
         let events = result.trace.events();

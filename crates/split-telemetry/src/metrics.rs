@@ -628,6 +628,14 @@ fn escape_help(s: &str) -> String {
     s.replace('\\', "\\\\").replace('\n', "\\n")
 }
 
+/// The request timestamps [`registry_from_events`] joins.
+#[derive(Clone, Copy)]
+enum Phase {
+    Arrival,
+    Start,
+    Completion,
+}
+
 /// Derive a [`Registry`] from a lifecycle recording.
 ///
 /// This is the bridge between the two telemetry halves: replaying the
@@ -637,23 +645,38 @@ fn escape_help(s: &str) -> String {
 /// values), `requests.arrived` / `requests.completed` / `preempt.jumps`
 /// counters, and the `queue.depth.peak` gauge — so snapshots from an
 /// offline simulation line up with ones recorded live.
+///
+/// One pass over the events: counters and the peak accumulate locally,
+/// and each request's timestamps are joined without a map (DESIGN.md
+/// §8) with [`Recorder::summary`](crate::lifecycle::Recorder::summary)'s
+/// semantics — the last arrival, the first block start and the last
+/// completion.
 pub fn registry_from_events(rec: &crate::lifecycle::Recorder) -> Registry {
     use crate::lifecycle::Event;
     let reg = Registry::new();
-    let arrived = reg.counter("requests.arrived");
-    let completed = reg.counter("requests.completed");
-    let jumps = reg.counter("preempt.jumps");
-    let downgrades = reg.counter("elastic.downgrades");
     let decision_ns = reg.histogram("sched.preempt.decision_ns");
     let comparisons = reg.histogram("sched.preempt.comparisons");
-    let depth_peak = reg.gauge("queue.depth.peak");
-
+    let (mut arrived, mut completed, mut jumps, mut downgrades) = (0u64, 0u64, 0u64, 0u64);
+    let mut depth_peak = 0i64;
+    // `(req, seq, phase, t_us)`, `seq` counting stamps in recording order.
+    let mut stamps: Vec<(u64, u32, Phase, f64)> = Vec::new();
+    let mut stamp = |req: u64, phase: Phase, t_us: f64| {
+        let seq = u32::try_from(stamps.len()).expect("under 2^32 stamps");
+        stamps.push((req, seq, phase, t_us));
+    };
     for e in rec.events() {
         match e {
-            Event::Arrival { .. } => arrived.inc(),
-            Event::Completion { .. } => completed.inc(),
-            Event::Enqueue { displaced, .. } if *displaced > 0 => jumps.inc(),
-            Event::Downgrade { .. } => downgrades.inc(),
+            Event::Arrival { req, t_us, .. } => {
+                arrived += 1;
+                stamp(*req, Phase::Arrival, *t_us);
+            }
+            Event::BlockStart { req, t_us, .. } => stamp(*req, Phase::Start, *t_us),
+            Event::Completion { req, t_us } => {
+                completed += 1;
+                stamp(*req, Phase::Completion, *t_us);
+            }
+            Event::Enqueue { displaced, .. } if *displaced > 0 => jumps += 1,
+            Event::Downgrade { .. } => downgrades += 1,
             Event::PreemptDecision {
                 decision_ns: ns,
                 comparisons: cmp,
@@ -662,21 +685,37 @@ pub fn registry_from_events(rec: &crate::lifecycle::Recorder) -> Registry {
                 decision_ns.record(*ns);
                 comparisons.record(*cmp as u64);
             }
-            Event::QueueDepth { depth, .. } if *depth as i64 > depth_peak.get() => {
-                depth_peak.set(*depth as i64);
-            }
+            Event::QueueDepth { depth, .. } => depth_peak = depth_peak.max(*depth as i64),
             _ => {}
         }
     }
+    reg.counter("requests.arrived").add(arrived);
+    reg.counter("requests.completed").add(completed);
+    reg.counter("preempt.jumps").add(jumps);
+    reg.counter("elastic.downgrades").add(downgrades);
+    reg.gauge("queue.depth.peak").set(depth_peak);
 
+    // Group each request's stamps, in recording order within the group.
+    // The keys are unique, so the in-place unstable sort gives the order a
+    // stable sort on `req` would, without a scratch buffer as large as
+    // the stamps.
+    stamps.sort_unstable_by_key(|&(req, seq, _, _)| (req, seq));
     let e2e = reg.histogram("request.e2e_us");
     let wait = reg.histogram("request.wait_us");
-    for r in rec.summary().requests {
-        if r.e2e_us().is_finite() && r.e2e_us() >= 0.0 {
-            e2e.record(r.e2e_us().round() as u64);
+    for group in stamps.chunk_by(|a, b| a.0 == b.0) {
+        let (mut arrival, mut first_start, mut completion) = (f64::NAN, f64::NAN, f64::NAN);
+        for &(_, _, phase, t_us) in group {
+            match phase {
+                Phase::Arrival => arrival = t_us,
+                Phase::Start if first_start.is_nan() => first_start = t_us,
+                Phase::Start => {}
+                Phase::Completion => completion = t_us,
+            }
         }
-        if r.wait_us().is_finite() && r.wait_us() >= 0.0 {
-            wait.record(r.wait_us().round() as u64);
+        for (h, v) in [(&e2e, completion - arrival), (&wait, first_start - arrival)] {
+            if v.is_finite() && v >= 0.0 {
+                h.record(v.round() as u64);
+            }
         }
     }
     reg
@@ -685,6 +724,151 @@ pub fn registry_from_events(rec: &crate::lifecycle::Recorder) -> Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lifecycle::{Event, Recorder, RecorderMode};
+    use proptest::prelude::*;
+
+    /// [`registry_from_events`] before its map-free join, kept as its
+    /// reference: counters through the shared handles, per-request
+    /// timestamps through [`Recorder::summary`].
+    fn registry_from_summary(rec: &Recorder) -> Registry {
+        let reg = Registry::new();
+        let arrived = reg.counter("requests.arrived");
+        let completed = reg.counter("requests.completed");
+        let jumps = reg.counter("preempt.jumps");
+        let downgrades = reg.counter("elastic.downgrades");
+        let decision_ns = reg.histogram("sched.preempt.decision_ns");
+        let comparisons = reg.histogram("sched.preempt.comparisons");
+        let depth_peak = reg.gauge("queue.depth.peak");
+        for e in rec.events() {
+            match e {
+                Event::Arrival { .. } => arrived.inc(),
+                Event::Completion { .. } => completed.inc(),
+                Event::Enqueue { displaced, .. } if *displaced > 0 => jumps.inc(),
+                Event::Downgrade { .. } => downgrades.inc(),
+                Event::PreemptDecision {
+                    decision_ns: ns,
+                    comparisons: cmp,
+                    ..
+                } => {
+                    decision_ns.record(*ns);
+                    comparisons.record(*cmp as u64);
+                }
+                Event::QueueDepth { depth, .. } if *depth as i64 > depth_peak.get() => {
+                    depth_peak.set(*depth as i64);
+                }
+                _ => {}
+            }
+        }
+        let e2e = reg.histogram("request.e2e_us");
+        let wait = reg.histogram("request.wait_us");
+        for r in rec.summary().requests {
+            if r.e2e_us().is_finite() && r.e2e_us() >= 0.0 {
+                e2e.record(r.e2e_us().round() as u64);
+            }
+            if r.wait_us().is_finite() && r.wait_us() >= 0.0 {
+                wait.record(r.wait_us().round() as u64);
+            }
+        }
+        reg
+    }
+
+    /// Every registered name with its kind and full state — for a
+    /// histogram every bucket, not just the quantiles a snapshot reads.
+    fn full_state(reg: &Registry) -> Vec<(String, Vec<u64>)> {
+        let map = reg.inner.read().expect("registry lock");
+        map.iter()
+            .map(|(name, m)| {
+                let state = match m {
+                    Metric::Counter(c) => vec![0, c.get()],
+                    Metric::Gauge(g) => vec![1, g.get() as u64],
+                    Metric::Histogram(h) => {
+                        let mut v = vec![2, h.count(), h.sum(), h.min(), h.max()];
+                        v.extend(h.buckets.iter().map(|b| b.load(Ordering::Relaxed)));
+                        v
+                    }
+                };
+                (name.clone(), state)
+            })
+            .collect()
+    }
+
+    /// Arbitrary recordings over a handful of request ids: duplicate
+    /// arrivals, starts that never complete, completions without an
+    /// arrival, times out of order, and optionally a ring small enough
+    /// to drop events.
+    fn recording() -> impl Strategy<Value = Recorder> {
+        (
+            collection::vec((0u8..8, 0u64..6, 0u32..400, 0u64..3_000), 0..80),
+            0usize..3,
+        )
+            .prop_map(|(raw, ring)| {
+                let mut rec = match ring {
+                    0 => Recorder::new(),
+                    n => Recorder::with_mode(RecorderMode::Ring(n * 7)),
+                };
+                for (kind, req, t, x) in raw {
+                    // A few NaN stamps: `summary()` keeps the first block
+                    // start that is not NaN, and never records a NaN span.
+                    let t_us = if t >= 390 {
+                        f64::NAN
+                    } else {
+                        f64::from(t) * 0.75
+                    };
+                    rec.record(match kind {
+                        0 | 1 => Event::Arrival {
+                            req,
+                            model: "m".into(),
+                            t_us,
+                        },
+                        2 => Event::BlockStart {
+                            req,
+                            block: 0,
+                            stream: 0,
+                            t_us,
+                        },
+                        3 => Event::Completion { req, t_us },
+                        4 => Event::Enqueue {
+                            req,
+                            position: 0,
+                            displaced: (x % 3) as usize,
+                            t_us,
+                        },
+                        5 => Event::PreemptDecision {
+                            req,
+                            position: 0,
+                            comparisons: x as usize,
+                            stop: "QueueHead".into(),
+                            decision_ns: x * 7,
+                            publish_ns: x * 7,
+                            t_us,
+                        },
+                        6 => Event::QueueDepth {
+                            depth: x as usize,
+                            t_us,
+                        },
+                        _ => Event::Downgrade {
+                            req,
+                            from_blocks: 3,
+                            to_blocks: 1,
+                            t_us,
+                        },
+                    });
+                }
+                rec
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn registry_join_equals_summary_derivation(rec in recording()) {
+            prop_assert_eq!(
+                full_state(&registry_from_events(&rec)),
+                full_state(&registry_from_summary(&rec))
+            );
+        }
+    }
 
     #[test]
     fn bucket_index_is_monotone_and_bounded() {
@@ -943,7 +1127,6 @@ mod tests {
 
     #[test]
     fn registry_from_events_populates_standard_names() {
-        use crate::lifecycle::{Event, Recorder};
         let mut rec = Recorder::new();
         rec.record(Event::Arrival {
             req: 0,
