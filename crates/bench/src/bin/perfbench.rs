@@ -290,6 +290,8 @@ fn main() {
     };
     let dev = DeviceConfig::jetson_nano();
     let mut entries: Vec<Entry> = Vec::new();
+    // `--check` gate failures, all reported at the end.
+    let mut gate_failures: Vec<String> = Vec::new();
 
     // --- Candidate profiling: direct arithmetic vs the memoized cost
     // table, over the same fixed candidate batch. ---
@@ -441,13 +443,11 @@ fn main() {
                 100.0 * overhead
             );
             if check && overhead > FLIGHT_OVERHEAD_LIMIT {
-                eprintln!(
-                    "\nperf-smoke FAILED: flight recorder costs {:.2}% p50 on simulate/SPLIT \
-                 (limit {:.0}%)",
+                gate_failures.push(format!(
+                    "flight recorder costs {:.2}% p50 on simulate/SPLIT (limit {:.0}%)",
                     100.0 * overhead,
                     100.0 * FLIGHT_OVERHEAD_LIMIT
-                );
-                std::process::exit(1);
+                ));
             }
             entries.push(off);
             entries.push(on);
@@ -564,13 +564,12 @@ fn main() {
                     );
                 }
                 if check && simulate_split_p50 > 0 && overhead > DRIFT_OVERHEAD_LIMIT {
-                    eprintln!(
-                        "\nperf-smoke FAILED: drift recording costs {:.2}% of simulate/SPLIT \
-                 per-request p50 (limit {:.0}%)",
+                    gate_failures.push(format!(
+                        "drift recording costs {:.2}% of simulate/SPLIT per-request p50 \
+                         (limit {:.0}%)",
                         100.0 * overhead,
                         100.0 * DRIFT_OVERHEAD_LIMIT
-                    );
-                    std::process::exit(1);
+                    ));
                 }
                 entries.push(record);
                 entries.push(
@@ -630,7 +629,7 @@ fn main() {
             );
             let comb = combining.with_state(|st| Entry::from_decision_stats(&pair_name, &st.stats));
 
-            let mutexed = split_runtime::MutexCore::new(
+            let mutexed = bench::MutexCore::new(
                 DecisionBenchState {
                     queue: Vec::with_capacity(64),
                     stats: split_runtime::DecisionStats::new(),
@@ -734,7 +733,7 @@ fn main() {
 
     let path = bench::results_dir().join("../BENCH_core.json");
     if check {
-        check_against_committed(&path, &entries);
+        check_against_committed(&path, &entries, gate_failures);
         return;
     }
     // Shrunk (--smoke) timings must never become the committed
@@ -782,8 +781,9 @@ fn main() {
 /// `--check` mode: every fresh entry whose name exists in the committed
 /// baseline must have p50 within [`REGRESSION_FACTOR`]× of the committed
 /// p50. Names missing from the baseline (new entries) are skipped, and
-/// the file is never rewritten, so the gate cannot ratchet itself.
-fn check_against_committed(path: &std::path::Path, entries: &[Entry]) {
+/// the file is never rewritten, so the gate cannot ratchet itself. Exits
+/// non-zero once if this or an overhead gate (`failures`) failed.
+fn check_against_committed(path: &std::path::Path, entries: &[Entry], mut failures: Vec<String>) {
     let text = std::fs::read_to_string(path)
         .unwrap_or_else(|e| panic!("read {} for --check: {e}", path.display()));
     let committed = serde_json::parse(&text).expect("parse committed BENCH_core.json");
@@ -795,7 +795,6 @@ fn check_against_committed(path: &std::path::Path, entries: &[Entry]) {
             .and_then(|v| v.get("p50_ns"))
             .and_then(Value::as_u64)
     };
-    let mut failures = Vec::new();
     for e in entries {
         // The `_mutex` entries are experimental controls (the replaced
         // architecture), kept for the p99-ratio comparison, not product
@@ -822,7 +821,7 @@ fn check_against_committed(path: &std::path::Path, entries: &[Entry]) {
     }
     if failures.is_empty() {
         println!(
-            "\nperf-smoke: all {} baselined entries within {}x of committed p50",
+            "\nperf-smoke: overhead gates pass; all {} baselined entries within {}x of committed p50",
             entries.len(),
             REGRESSION_FACTOR
         );

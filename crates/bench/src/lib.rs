@@ -18,6 +18,8 @@
 //! `results/` for plotting. Criterion micro-benchmarks live in
 //! `benches/`.
 
+mod mutex_core;
+pub use mutex_core::MutexCore;
 use sched::{ModelTable, Policy, SimResult};
 use split_analyze::{lint_attribution, lint_schedule, ScheduleLintCfg};
 use std::path::PathBuf;

@@ -15,5 +15,5 @@ pub use edf::{edf, EdfCfg};
 pub use prema::{prema, PremaCfg};
 pub use rta::{rta, RtaCfg};
 pub use sjf::sjf;
-pub use split::{split, SplitCfg};
+pub use split::{split, SplitCfg, SplitMachine};
 pub use stream_parallel::{stream_parallel, StreamParallelCfg};

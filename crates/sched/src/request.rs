@@ -1,7 +1,6 @@
 //! Runtime model descriptions and completion records.
 
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Everything a policy needs to know about one deployed model.
@@ -75,12 +74,13 @@ impl ModelRuntime {
 }
 
 /// The deployment: model name → runtime description.
-/// Kept in a `BTreeMap` so serialization and any future iteration are
-/// deterministic (split-analyze audits scheduling paths for
-/// iteration-order dependence).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+/// Kept as a name-sorted `Vec`, so iteration is deterministic
+/// (split-analyze audits scheduling paths for iteration-order
+/// dependence) and a resolved model is a dense index ([`Self::index_of`],
+/// [`Self::at`]) that state outliving a borrow of the table can hold.
+#[derive(Debug, Clone, Default)]
 pub struct ModelTable {
-    map: BTreeMap<String, ModelRuntime>,
+    models: Vec<ModelRuntime>,
 }
 
 impl ModelTable {
@@ -91,7 +91,10 @@ impl ModelTable {
 
     /// Insert a model (replacing an existing entry of the same name).
     pub fn insert(&mut self, m: ModelRuntime) {
-        self.map.insert(m.name.to_string(), m);
+        match self.models.binary_search_by(|x| x.name.cmp(&m.name)) {
+            Ok(i) => self.models[i] = m,
+            Err(i) => self.models.insert(i, m),
+        }
     }
 
     /// Look up a model.
@@ -100,31 +103,38 @@ impl ModelTable {
     /// Panics when the model is unknown — a trace referencing an
     /// undeployed model is a harness bug worth failing loudly on.
     pub fn get(&self, name: &str) -> &ModelRuntime {
-        self.map
-            .get(name)
-            .unwrap_or_else(|| panic!("model {name:?} not deployed"))
+        let i = self.index_of(name);
+        &self.models[i.unwrap_or_else(|| panic!("model {name:?} not deployed"))]
     }
 
-    /// Whether a model is deployed.
-    pub fn contains(&self, name: &str) -> bool {
-        self.map.contains_key(name)
+    /// The dense index of a deployed model, valid until the next
+    /// [`Self::insert`]. A deployment holds a handful of models, and a
+    /// scan of length-checked equality finds one several times faster
+    /// than a binary search of ordered string compares.
+    pub fn index_of(&self, name: &str) -> Option<usize> {
+        self.models.iter().position(|m| *m.name == *name)
+    }
+
+    /// The model at a dense index from [`Self::index_of`].
+    pub fn at(&self, index: usize) -> &ModelRuntime {
+        &self.models[index]
     }
 
     /// Number of deployed models.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.models.len()
     }
 
     /// True when no models are deployed.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.models.is_empty()
     }
 
-    /// Iterate the deployed models in name order (the `BTreeMap` order),
-    /// so anything derived from a full-table walk — e.g. the per-device
-    /// rescaled tables a fleet builds — is deterministic.
+    /// Iterate the deployed models in name order, so anything derived
+    /// from a full-table walk — e.g. the per-device rescaled tables a
+    /// fleet builds — is deterministic.
     pub fn iter(&self) -> impl Iterator<Item = &ModelRuntime> {
-        self.map.values()
+        self.models.iter()
     }
 }
 
@@ -183,9 +193,23 @@ mod tests {
         t.insert(ModelRuntime::vanilla("a", 0, 1000.0));
         t.insert(ModelRuntime::split("b", 1, 2000.0, vec![1100.0, 1200.0]));
         assert_eq!(t.len(), 2);
-        assert!(t.contains("a"));
+        assert_eq!(t.index_of("a"), Some(0));
         assert_eq!(t.get("b").split_total_us(), 2300.0);
         assert_eq!(t.get("a").blocks_us, vec![1000.0]);
+    }
+
+    #[test]
+    fn model_table_indexes_in_name_order() {
+        let mut t = ModelTable::new();
+        t.insert(ModelRuntime::vanilla("c", 0, 3.0));
+        t.insert(ModelRuntime::vanilla("a", 1, 1.0));
+        t.insert(ModelRuntime::vanilla("b", 2, 2.0));
+        t.insert(ModelRuntime::vanilla("a", 3, 4.0));
+        let names: Vec<&str> = t.iter().map(|m| &*m.name).collect();
+        assert_eq!(names, ["a", "b", "c"]);
+        assert_eq!(t.index_of("b"), Some(1));
+        assert_eq!(t.at(0).task, 3, "insert replaces by name");
+        assert_eq!(t.index_of("ghost"), None);
     }
 
     #[test]

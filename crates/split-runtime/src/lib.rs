@@ -12,9 +12,9 @@
 //!   and the current combiner drains them in one pass — no global mutex
 //!   or condvar on the decision path;
 //! * **Token scheduler** ([`server`]): on every arrival, the combiner
-//!   runs the greedy preemption algorithm
-//!   ([`split_core::greedy_preempt`]) against the request queue — both
-//!   the scan and the client-visible publish→apply latency are timed so
+//!   admits the request to the simulator's [`sched::policy::SplitMachine`]
+//!   (greedy preemption, [`split_core::greedy_preempt`]) — both the
+//!   admission and the client-visible publish→apply latency are timed so
 //!   the microsecond-scale claim of §3.4 is *measured*, not assumed;
 //! * **Token assigner / executor**: hands the device token to the queue
 //!   head and executes its next block (simulated by a clock-compressed
@@ -38,7 +38,7 @@ pub mod wire;
 
 pub use clock::SimClock;
 pub use codec::{decode, encode, CodecError, FrameDecoder, WireRequest};
-pub use combiner::{CombiningCore, MutexCore};
+pub use combiner::CombiningCore;
 pub use deployment::Deployment;
 pub use driver::{drive, DriveReport};
 pub use messages::{InferenceReply, RequestStatus};

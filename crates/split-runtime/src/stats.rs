@@ -8,8 +8,8 @@
 //!   making its request visible in its combining slot to the combiner
 //!   having placed it in the queue. This is what a client experiences
 //!   and what `ShutdownReport` / the contention benchmarks quote.
-//! * **compute** — the greedy scan alone (`greedy_preempt` wall time),
-//!   the number the paper's algorithmic claim is about.
+//! * **compute** — the admission alone (`SplitMachine::admit` wall time,
+//!   greedy scan included), what the paper's algorithmic claim is about.
 //!
 //! Both are backed by [`split_telemetry::Histogram`], so on top of
 //! count/mean/max the collector answers distribution queries —
@@ -24,7 +24,7 @@ use split_telemetry::Histogram;
 pub struct DecisionStats {
     /// Publish→applied latency (what clients experience).
     decide: Histogram,
-    /// Pure greedy-scan duration (what the algorithm costs).
+    /// Admission duration (what the algorithm costs).
     compute: Histogram,
 }
 
@@ -39,7 +39,7 @@ impl DecisionStats {
         self.decide.record(ns);
     }
 
-    /// Record one decision's pure greedy-scan duration.
+    /// Record one decision's admission duration.
     pub fn record_compute(&self, ns: u64) {
         self.compute.record(ns);
     }
@@ -82,12 +82,12 @@ impl DecisionStats {
         self.decide.p999()
     }
 
-    /// Median greedy-scan duration, nanoseconds (bucket-approximate).
+    /// Median admission duration, nanoseconds (bucket-approximate).
     pub fn compute_p50_ns(&self) -> u64 {
         self.compute.p50()
     }
 
-    /// Worst greedy-scan duration, nanoseconds.
+    /// Worst admission duration, nanoseconds.
     pub fn compute_max_ns(&self) -> u64 {
         self.compute.max()
     }
@@ -98,7 +98,7 @@ impl DecisionStats {
         &self.decide
     }
 
-    /// The underlying greedy-scan histogram.
+    /// The underlying admission histogram.
     pub fn compute_histogram(&self) -> &Histogram {
         &self.compute
     }
