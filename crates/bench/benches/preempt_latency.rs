@@ -1,9 +1,11 @@
 //! The §3.4 claim, measured: greedy preemption decisions are
 //! microsecond-scale with O(n) worst case — versus the "recalculate every
-//! priority and re-sort" strawman the paper argues against (§2.3).
+//! priority and re-sort" strawman the paper argues against (§2.3). The
+//! `queue/*` entries run the same decisions on `PreemptQueue`, the
+//! block-skipping queue the SPLIT machine uses.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use split_core::{greedy_preempt, response_ratio, QueueEntry};
+use split_core::{greedy_preempt, response_ratio, PreemptQueue, QueueEntry};
 use std::hint::black_box;
 
 fn queue(n: usize) -> Vec<QueueEntry> {
@@ -80,7 +82,56 @@ fn bench_preempt(c: &mut Criterion) {
             BatchSize::SmallInput,
         )
     });
+    for n in [512usize, 4096] {
+        group.bench_function(format!("queue/queue{n}"), |b| {
+            b.iter_batched(
+                || (PreemptQueue::from(queue(n)), newcomer(n)),
+                |(mut q, new)| black_box(q.insert(new, 4.0)),
+                BatchSize::SmallInput,
+            )
+        });
+    }
+    // A device's steady state on a 4096-deep queue: an arrival, then
+    // dispatch and retirement of the head, 1000 times per sample.
+    group.bench_function("greedy/cycle4096_1000x", |b| {
+        let mut q = queue(4096);
+        let mut next = q.len();
+        b.iter(|| {
+            for _ in 0..1000 {
+                black_box(greedy_preempt(&mut q, arrival(next), 4.0));
+                q[0].left_us *= 0.5;
+                q.remove(0);
+                next += 1;
+            }
+        })
+    });
+    group.bench_function("queue/cycle4096_1000x", |b| {
+        let mut q = PreemptQueue::from(queue(4096));
+        let mut next = q.len();
+        b.iter(|| {
+            for _ in 0..1000 {
+                black_box(q.insert(arrival(next), 4.0));
+                let head = q.head_mut().expect("queue stays 4096 deep");
+                head.left_us *= 0.5;
+                let id = head.id;
+                q.remove(id);
+                next += 1;
+            }
+        })
+    });
     group.finish();
+}
+
+/// The `i`-th arrival of the cycle benches: 97 tasks, 5..65 ms.
+fn arrival(i: usize) -> QueueEntry {
+    let exec_us = 5_000.0 + (i as f64 * 7_919.0) % 60_000.0;
+    QueueEntry {
+        id: i as u64,
+        task: (i % 97) as u32,
+        exec_us,
+        left_us: exec_us,
+        arrival_us: i as f64 * 100.0,
+    }
 }
 
 criterion_group!(benches, bench_preempt);

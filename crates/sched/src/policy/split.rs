@@ -3,8 +3,8 @@
 //!
 //! The device runs one *block* at a time (predictable latency, §6). The
 //! waiting queue holds whole requests; on every arrival the greedy
-//! preemption algorithm ([`split_core::greedy_preempt`]) decides the new
-//! request's queue position — so a short request preempts a long one *at
+//! preemption algorithm ([`split_core::PreemptQueue::insert`]) decides the
+//! new request's queue position — so a short request preempts a long one *at
 //! the next block boundary*, never mid-kernel and never per-block
 //! (full preemption, Figure 3b). The elastic controller downgrades
 //! requests to vanilla execution during floods (§3.3).
@@ -16,8 +16,9 @@ use crate::engine::SimResult;
 use crate::request::{Completion, ModelRuntime, ModelTable};
 use gpu_sim::Trace;
 use serde::{Deserialize, Serialize};
-use split_core::{greedy_preempt, ElasticConfig, ElasticController, PreemptDecision, QueueEntry};
+use split_core::{ElasticConfig, ElasticController, PreemptDecision, PreemptQueue, QueueEntry};
 use split_telemetry::{Event, Recorder};
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
 use std::time::Instant;
 use workload::Arrival;
@@ -61,7 +62,7 @@ pub struct SplitMachine<T = ()> {
     models: ModelTable,
     alpha: f64,
     elastic: Option<ElasticController>,
-    queue: Vec<QueueEntry>,
+    queue: PreemptQueue,
     /// Per-request state (a `BTreeMap`: keyed lookups only, but a sorted
     /// map keeps every path deterministic by construction — audited by
     /// split-analyze).
@@ -149,7 +150,7 @@ impl<T> SplitMachine<T> {
             models,
             alpha: cfg.alpha,
             elastic: cfg.elastic.clone().map(ElasticController::new),
-            queue: Vec::new(),
+            queue: PreemptQueue::new(),
             states: BTreeMap::new(),
             running: None,
         }
@@ -191,10 +192,10 @@ impl<T> SplitMachine<T> {
                 tag,
             },
         );
-        let decision = greedy_preempt(&mut self.queue, entry, self.alpha);
+        let decision = self.queue.insert(entry, self.alpha);
         debug_assert!(
             decision.position < self.queue.len(),
-            "greedy_preempt returned position {} past queue of {}",
+            "greedy preemption returned position {} past queue of {}",
             decision.position,
             self.queue.len()
         );
@@ -212,7 +213,7 @@ impl<T> SplitMachine<T> {
         if self.running.is_some() {
             return None;
         }
-        let head = self.queue.first_mut()?;
+        let head = self.queue.head_mut()?;
         let id = head.id;
         let st = self.states.get_mut(&id).expect("queued request has state");
         let blk_us = st.blocks.pop_front().expect("queued request has blocks");
@@ -241,16 +242,14 @@ impl<T> SplitMachine<T> {
     /// is exactly where block-boundary preemption happens.
     pub fn retire(&mut self, now: f64) -> Option<(Completion, usize, T)> {
         let id = self.running.take().expect("a block in flight");
-        if !self.states[&id].blocks.is_empty() {
+        let Entry::Occupied(state) = self.states.entry(id) else {
+            panic!("running request has state");
+        };
+        if !state.get().blocks.is_empty() {
             return None;
         }
-        let pos = self
-            .queue
-            .iter()
-            .position(|e| e.id == id)
-            .expect("running request is queued");
-        self.queue.remove(pos);
-        let st = self.states.remove(&id).expect("state");
+        let st = state.remove();
+        self.queue.remove(id).expect("running request is queued");
         let m = self.models.at(st.model);
         let completion = Completion {
             id,
@@ -271,7 +270,7 @@ impl<T> SplitMachine<T> {
 
     /// `(request id, task)` of the queue head.
     pub fn head(&self) -> Option<(u64, u32)> {
-        self.queue.first().map(|e| (e.id, e.task))
+        self.queue.head().map(|e| (e.id, e.task))
     }
 
     /// Whether a block is on the device.
@@ -352,6 +351,7 @@ pub fn split(arrivals: &[Arrival], models: &ModelTable, cfg: &SplitCfg) -> SimRe
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use split_core::greedy_preempt;
 
     /// The simulator loop as it stood before [`SplitMachine`]: the
     /// reference [`split`] must reproduce bit for bit.
@@ -568,6 +568,71 @@ mod tests {
             prop_assert_eq!(got.trace.events(), want.trace.events());
             prop_assert_eq!(got.trace.transfers(), want.trace.transfers());
             prop_assert_eq!(timeless(&got.recorder), timeless(&want.recorder));
+        }
+    }
+
+    /// Eight models, four of them split, 5–60 ms: the tasks of a deep
+    /// lane.
+    fn mixed_table() -> ModelTable {
+        let mut t = ModelTable::new();
+        for i in 0..8u32 {
+            let exec = 5_000.0 + f64::from(i) * 7_500.0;
+            t.insert(if i % 2 == 1 {
+                ModelRuntime::split(format!("m{i}"), i, exec, vec![exec * 0.55; 2])
+                    .with_transfer_bytes(vec![65_536])
+            } else {
+                ModelRuntime::vanilla(format!("m{i}"), i, exec)
+            });
+        }
+        t
+    }
+
+    /// A Poisson stream offered at 2.5× the device's capacity: the queue
+    /// grows past a thousand requests, so greedy preemption runs on a
+    /// queue of many blocks.
+    fn oversubscribed(seed: u64, requests: usize) -> Vec<Arrival> {
+        let mut gen = workload::PoissonGen::new(32_500.0 / 2.5, seed);
+        let mut pick = seed;
+        (0..requests as u64)
+            .map(|id| {
+                // splitmix64 for the model draw.
+                pick = pick.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = pick;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                let model = format!("m{}", (z ^ (z >> 31)) % 8);
+                arrival(id, &model, gen.next_arrival_us())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn machine_driver_matches_reference_loop_on_deep_queues() {
+        for seed in 1..=4u64 {
+            let arrivals = oversubscribed(seed, 3_000);
+            let cfg = SplitCfg {
+                alpha: 4.0,
+                elastic: (seed % 2 == 1).then(ElasticConfig::default),
+            };
+            let got = split(&arrivals, &mixed_table(), &cfg);
+            let want = reference(&arrivals, &mixed_table(), &cfg);
+            assert_eq!(got.completions, want.completions, "seed {seed}");
+            assert_eq!(got.trace.events(), want.trace.events(), "seed {seed}");
+            assert_eq!(got.trace.transfers(), want.trace.transfers());
+            assert_eq!(timeless(&got.recorder), timeless(&want.recorder));
+            let peak = got
+                .recorder
+                .events()
+                .filter_map(|e| match e {
+                    Event::Enqueue {
+                        position,
+                        displaced,
+                        ..
+                    } => Some(position + displaced + 1),
+                    _ => None,
+                })
+                .max();
+            assert!(peak > Some(1_000), "seed {seed}: queue peaked at {peak:?}");
         }
     }
 

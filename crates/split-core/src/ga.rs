@@ -9,10 +9,11 @@
 //! 2. *even cuts sit near (slightly before) the middle* → the triangular
 //!    sampling distribution peaks just before the midpoint.
 //!
-//! Each generation: profile every candidate (rayon-parallel, memoized in a
-//! [`ProfileCache`]), select parents by tournament on Eq. 2 fitness, apply
-//! the configured crossover with probability `crossover_prob` (otherwise
-//! copy the parents), mutate cut positions with probability `mutation_prob`, and
+//! Each generation: profile every candidate (rayon-parallel, each an
+//! `O(cuts)` lookup in the run's [`CostTable`]), select parents by
+//! tournament on Eq. 2 fitness, apply the configured crossover with
+//! probability `crossover_prob` (otherwise copy the parents), mutate cut
+//! positions with probability `mutation_prob`, and
 //! carry the elite fraction over unchanged. The loop stops at
 //! `generations` or when the best candidate has not improved for
 //! `patience` generations — exactly the steps enumerated in §3.3.
@@ -20,10 +21,11 @@
 use crate::fitness::fitness;
 use dnn_graph::{Graph, SplitSpec};
 use gpu_sim::{CostTable, DeviceConfig};
-use profiler::{BlockProfile, ProfileCache};
+use profiler::{profile_split_on, BlockProfile};
 use rand::prelude::*;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+use std::collections::HashSet;
 
 /// How the initial population (and mutation re-sampling) picks positions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -118,7 +120,7 @@ pub struct GenStats {
     pub best_std_us: f64,
     /// Splitting-overhead ratio of the best candidate (Figure 5b).
     pub best_overhead: f64,
-    /// Distinct candidates profiled so far (cache size).
+    /// Distinct candidates profiled so far.
     pub candidates_profiled: usize,
 }
 
@@ -191,7 +193,8 @@ pub fn evolve_on(graph: &Graph, table: &CostTable, cfg: &GaConfig) -> GaOutcome 
     assert!(cfg.population >= 4, "population too small");
 
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let cache = ProfileCache::new();
+    // Every distinct cut vector scored so far.
+    let mut seen: HashSet<Vec<usize>> = HashSet::new();
     let cuts_per = cfg.blocks - 1;
 
     let mut population: Vec<SplitSpec> = (0..cfg.population)
@@ -205,19 +208,25 @@ pub fn evolve_on(graph: &Graph, table: &CostTable, cfg: &GaConfig) -> GaOutcome 
 
     for generation in 0..cfg.generations {
         generations_run = generation + 1;
-        // Profile the whole population in parallel (memoized).
+        // Profile the whole population in parallel. A profile is a pure
+        // `O(cuts)` function of the table, so a repeated candidate is
+        // cheaper to score again than to look up in a shared memo.
         let scored: Vec<(SplitSpec, BlockProfile, f64)> = population
             .par_iter()
             .map(|spec| {
-                let p = cache.profile_on(table, spec);
+                let p = profile_split_on(table, spec);
                 let f = fitness(&p);
                 (spec.clone(), p, f)
             })
             .collect();
-        // `collect` is the generation barrier: every candidate above is
-        // measured before the cache size is read, so this statistic is
-        // identical at any SPLIT_THREADS worker count.
-        let candidates_profiled = cache.len();
+        // Counted after the `collect` barrier, in population order, so
+        // this statistic is identical at any SPLIT_THREADS worker count.
+        for spec in &population {
+            if !seen.contains(spec.cuts()) {
+                seen.insert(spec.cuts().to_vec());
+            }
+        }
+        let candidates_profiled = seen.len();
 
         // Track the global best; the tie-break on cuts keeps runs stable.
         let gen_best = scored
@@ -275,10 +284,6 @@ pub fn evolve_on(graph: &Graph, table: &CostTable, cfg: &GaConfig) -> GaOutcome 
         }
         population = next;
     }
-
-    // The in-flight dedup invariant: every distinct candidate was measured
-    // exactly once, no matter how the pool raced into the cache.
-    debug_assert_eq!(cache.stats().1 as usize, cache.len());
 
     let (best, best_profile, _) = best.expect("at least one generation ran");
     GaOutcome {

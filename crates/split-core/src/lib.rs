@@ -17,7 +17,7 @@
 //!   (§2.2's candidate-count explosion);
 //! * [`preempt`] — the fast greedy preemption algorithm based on response
 //!   ratio (§3.4, Algorithm 1): O(n) worst case, microsecond-scale
-//!   decisions;
+//!   decisions, and the block-skipping queue that runs it on deep queues;
 //! * [`elastic`] — the elastic model splitting mechanism (§3.3's
 //!   limitation paragraph) that suspends splitting under request floods or
 //!   same-type bursts;
@@ -41,5 +41,5 @@ pub use fitness::{fitness, FitnessParts};
 pub use ga::{evolve, evolve_on, CrossoverOp, GaConfig, GaOutcome, GenStats, InitStrategy};
 pub use plan::{PlanSet, SplitPlan};
 pub use preempt::{
-    algorithm1_preempt, greedy_preempt, response_ratio, PreemptDecision, QueueEntry,
+    algorithm1_preempt, greedy_preempt, response_ratio, PreemptDecision, PreemptQueue, QueueEntry,
 };

@@ -2,7 +2,9 @@
 //! guarantees must hold for arbitrary queues.
 
 use proptest::prelude::*;
-use split_core::{algorithm1_preempt, greedy_preempt, response_ratio, PreemptDecision, QueueEntry};
+use split_core::{
+    algorithm1_preempt, greedy_preempt, response_ratio, PreemptDecision, PreemptQueue, QueueEntry,
+};
 
 const ALPHA: f64 = 4.0;
 
@@ -269,5 +271,126 @@ proptest! {
         let mut new = new;
         new.id = 999;
         assert_algorithm1_agrees(q, new, base, DEEP_NOW)?;
+    }
+}
+
+/// One step in the life of a device queue.
+#[derive(Debug, Clone)]
+enum Op {
+    /// An arrival (its id is assigned when it is applied).
+    Insert(QueueEntry),
+    /// Dispatch: charge the head this fraction of its remaining time.
+    Dispatch(f64),
+    /// Retire an entry: the one at this fraction of the queue's length,
+    /// cubed, so most retirements drain the front blocks as a device's
+    /// do.
+    Remove(f64),
+}
+
+/// Arrivals of 160 tasks (so `task % 64` collides) with partly executed
+/// remainders. Half of them tie under Smith's rule with one of four
+/// shared products, offset by up to ±20e-12 relative and a few ulps, so
+/// pair tests land on both sides of the 1e-12 tolerance; an arrival of a
+/// tied product meets a queue full of its near-ties.
+fn op_strategy(products: [f64; 4]) -> impl Strategy<Value = Op> {
+    let entry = (
+        0u32..160,
+        1_000.0f64..80_000.0,
+        0.05f64..1.2,
+        (0u8..2, 0usize..4, -20i32..21, -4i32..5),
+    );
+    // 14 in 20 operations are arrivals, 3 dispatches, 3 retirements.
+    (0u8..20, entry, 0.0f64..1.0).prop_map(move |(kind, entry, frac)| match kind {
+        0..=13 => {
+            let (task, exec, left_frac, (tie, k, rel, ulps)) = entry;
+            let left = if tie == 1 {
+                nudge(products[k] / exec * (1.0 + f64::from(rel) * 1e-12), ulps)
+            } else {
+                exec * left_frac
+            };
+            Op::Insert(QueueEntry {
+                id: 0,
+                task,
+                exec_us: exec,
+                left_us: left,
+                arrival_us: 0.0,
+            })
+        }
+        14..=16 => Op::Dispatch(frac * 0.9),
+        _ => Op::Remove(frac),
+    })
+}
+
+/// Thousands of operations; the queue grows to about 2000 deep.
+fn ops_strategy() -> impl Strategy<Value = Vec<Op>> {
+    let product = || 1e6f64..4e9;
+    (product(), product(), product(), product()).prop_flat_map(|(a, b, c, d)| {
+        proptest::collection::vec(op_strategy([a, b, c, d]), 3_000..5_000)
+    })
+}
+
+/// Bitwise equality of two queues' entries.
+fn same_entries<'a>(
+    a: impl Iterator<Item = &'a QueueEntry>,
+    b: impl Iterator<Item = &'a QueueEntry>,
+) -> bool {
+    let bits = |e: &QueueEntry| {
+        (
+            e.id,
+            e.task,
+            e.exec_us.to_bits(),
+            e.left_us.to_bits(),
+            e.arrival_us.to_bits(),
+        )
+    };
+    a.map(bits).eq(b.map(bits))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// `PreemptQueue` against `greedy_preempt` on a `Vec`, through random
+    /// arrivals, dispatches and retirements: every decision (position,
+    /// comparisons, stop reason) and the queue contents, sampled every 64
+    /// operations and at the end, are identical, bit for bit.
+    #[test]
+    fn preempt_queue_matches_vec_reference(ops in ops_strategy()) {
+        let mut queue = PreemptQueue::new();
+        let mut reference: Vec<QueueEntry> = Vec::new();
+        let mut peak = 0usize;
+        for (id, op) in ops.into_iter().enumerate() {
+            match op {
+                Op::Insert(mut e) => {
+                    e.id = id as u64;
+                    let want = greedy_preempt(&mut reference, e.clone(), ALPHA);
+                    prop_assert_eq!(queue.insert(e, ALPHA), want, "insert #{}", id);
+                }
+                Op::Dispatch(frac) => {
+                    if let Some(head) = reference.first_mut() {
+                        head.left_us -= head.left_us * frac;
+                        let got = queue.head_mut().expect("non-empty queue has a head");
+                        got.left_us -= got.left_us * frac;
+                    } else {
+                        prop_assert!(queue.head_mut().is_none());
+                    }
+                }
+                Op::Remove(frac) => {
+                    if !reference.is_empty() {
+                        let at = frac * frac * frac * reference.len() as f64;
+                        let i = (at as usize).min(reference.len() - 1);
+                        let want = reference.remove(i);
+                        prop_assert_eq!(queue.remove(want.id), Some(want));
+                    }
+                }
+            }
+            prop_assert_eq!(queue.len(), reference.len());
+            if id % 64 == 0 {
+                prop_assert!(same_entries(queue.iter(), reference.iter()), "contents after op #{}", id);
+            }
+            peak = peak.max(queue.len());
+        }
+        prop_assert!(same_entries(queue.iter(), reference.iter()));
+        prop_assert!(peak >= 1_000, "queue peaked at {}", peak);
+        prop_assert_eq!(queue.remove(u64::MAX), None);
     }
 }

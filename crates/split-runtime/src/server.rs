@@ -225,7 +225,6 @@ fn handle_infer(
     // microsecond-scale claim is judged on under contention.
     let publish_ns = publish.elapsed().as_nanos() as u64;
     shared.decisions.record(publish_ns);
-    shared.decisions.record_compute(decision_ns);
     st.accepted += 1;
     {
         let mut drift = shared.drift.lock();

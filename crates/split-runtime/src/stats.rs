@@ -1,17 +1,15 @@
 //! Preemption-decision latency statistics.
 //!
 //! §3.4 claims the greedy preemption achieves "near-optimal preemption at
-//! microsecond-scale". With the combining core there are two distinct
-//! latencies worth that claim, and this collector keeps both:
+//! microsecond-scale". With the combining core the latency a client sees
+//! is slot-publish → decision-applied: the time from a client making its
+//! request visible in its combining slot to the combiner having placed it
+//! in the queue. That is what this collector keeps, and what
+//! `ShutdownReport` and the contention benchmarks quote. The admission
+//! alone (`SplitMachine::admit` wall time, greedy scan included) is the
+//! `decision_ns` of each recorded `PreemptDecision` event.
 //!
-//! * **decide** — slot-publish → decision-applied: the time from a client
-//!   making its request visible in its combining slot to the combiner
-//!   having placed it in the queue. This is what a client experiences
-//!   and what `ShutdownReport` / the contention benchmarks quote.
-//! * **compute** — the admission alone (`SplitMachine::admit` wall time,
-//!   greedy scan included), what the paper's algorithmic claim is about.
-//!
-//! Both are backed by [`split_telemetry::Histogram`], so on top of
+//! It is backed by [`split_telemetry::Histogram`], so on top of
 //! count/mean/max the collector answers distribution queries —
 //! [`DecisionStats::p50_ns`] / [`DecisionStats::p99_ns`] — with the
 //! histogram's ≤12.5% relative bucket error; count, mean, and max stay
@@ -24,8 +22,6 @@ use split_telemetry::Histogram;
 pub struct DecisionStats {
     /// Publish→applied latency (what clients experience).
     decide: Histogram,
-    /// Admission duration (what the algorithm costs).
-    compute: Histogram,
 }
 
 impl DecisionStats {
@@ -37,11 +33,6 @@ impl DecisionStats {
     /// Record one decision's publish→applied latency.
     pub fn record(&self, ns: u64) {
         self.decide.record(ns);
-    }
-
-    /// Record one decision's admission duration.
-    pub fn record_compute(&self, ns: u64) {
-        self.compute.record(ns);
     }
 
     /// Number of decisions recorded.
@@ -82,25 +73,10 @@ impl DecisionStats {
         self.decide.p999()
     }
 
-    /// Median admission duration, nanoseconds (bucket-approximate).
-    pub fn compute_p50_ns(&self) -> u64 {
-        self.compute.p50()
-    }
-
-    /// Worst admission duration, nanoseconds.
-    pub fn compute_max_ns(&self) -> u64 {
-        self.compute.max()
-    }
-
     /// The underlying publish→applied histogram (e.g. for merging into
     /// a registry snapshot).
     pub fn histogram(&self) -> &Histogram {
         &self.decide
-    }
-
-    /// The underlying admission histogram.
-    pub fn compute_histogram(&self) -> &Histogram {
-        &self.compute
     }
 }
 
@@ -154,18 +130,5 @@ mod tests {
         }
         assert_eq!(s.count(), 8000);
         assert_eq!(s.max_ns(), 999);
-    }
-
-    #[test]
-    fn compute_and_decide_are_independent() {
-        let s = DecisionStats::new();
-        s.record(10_000);
-        s.record_compute(500);
-        // Client-visible stats reflect only the decide histogram...
-        assert_eq!(s.count(), 1);
-        assert_eq!(s.max_ns(), 10_000);
-        // ...while the scan histogram keeps its own books.
-        assert_eq!(s.compute_max_ns(), 500);
-        assert_eq!(s.compute_histogram().count(), 1);
     }
 }
