@@ -331,7 +331,40 @@ impl FlightRing {
         let base = self.base.load(Ordering::Relaxed);
         let lo = base.max(head.saturating_sub(self.slots.len() as u64));
         let mut records: Vec<FlightRecord> = Vec::with_capacity((head - lo) as usize);
-        for seq in lo..head {
+        self.read_into(lo..head, |_| true, &mut records);
+        self.finish(base, head, records)
+    }
+
+    /// Like [`FlightRing::snapshot`], but only the records appended after
+    /// the first `skip` of the current epoch for which `keep` holds. A
+    /// caller that freezes history repeatedly passes the previous
+    /// snapshot's `appended` as `skip`, so no record is copied twice.
+    /// Records left out count as dropped.
+    pub fn snapshot_since(
+        &self,
+        skip: u64,
+        keep: impl FnMut(&FlightRecord) -> bool,
+    ) -> FlightSnapshot {
+        let head = self.head.load(Ordering::Relaxed);
+        let base = self.base.load(Ordering::Relaxed);
+        let lo = base
+            .saturating_add(skip)
+            .max(head.saturating_sub(self.slots.len() as u64))
+            .min(head);
+        let mut records = Vec::new();
+        self.read_into(lo..head, keep, &mut records);
+        records.shrink_to_fit();
+        self.finish(base, head, records)
+    }
+
+    /// Append the published records of `seqs` that `keep` accepts.
+    fn read_into(
+        &self,
+        seqs: std::ops::Range<u64>,
+        mut keep: impl FnMut(&FlightRecord) -> bool,
+        records: &mut Vec<FlightRecord>,
+    ) {
+        for seq in seqs {
             let slot = &self.slots[(seq & self.mask) as usize];
             let expect = 2 * seq + 2;
             // Retry a bounded number of times; a slot under constant
@@ -358,18 +391,24 @@ impl FlightRing {
                     continue; // lapped mid-read; retry
                 }
                 if let Some(kind) = FlightKind::from_code(kind) {
-                    records.push(FlightRecord {
+                    let r = FlightRecord {
                         seq,
                         t_us: f64::from_bits(t_bits),
                         req,
                         kind,
                         a,
                         b,
-                    });
+                    };
+                    if keep(&r) {
+                        records.push(r);
+                    }
                 }
                 break;
             }
         }
+    }
+
+    fn finish(&self, base: u64, head: u64, records: Vec<FlightRecord>) -> FlightSnapshot {
         let appended = head.saturating_sub(base);
         let dropped = appended.saturating_sub(records.len() as u64);
         FlightSnapshot {
@@ -455,9 +494,10 @@ impl FlightSnapshot {
     }
 
     /// Union of two snapshots of the same ring, deduplicated by
-    /// sequence number and re-sorted. The live server snapshots the
-    /// ring the moment an alert fires (preserving pre-incident history
-    /// the ring may later overwrite) and merges that with the shutdown
+    /// sequence number and re-sorted. The live server freezes part of
+    /// the ring the moment an alert fires (preserving pre-incident
+    /// history the ring may later overwrite, see
+    /// [`FlightRing::snapshot_since`]) and merges that with the shutdown
     /// snapshot (which has the post-fire records).
     pub fn merge(&self, other: &FlightSnapshot) -> FlightSnapshot {
         let mut records = self.records.clone();
@@ -614,6 +654,35 @@ mod tests {
         assert_eq!(seqs, (0..14).collect::<Vec<_>>());
         assert_eq!(merged.appended, 14);
         assert_eq!(merged.dropped, 0);
+    }
+
+    #[test]
+    fn snapshot_since_skips_seen_records_and_filters() {
+        let ring = FlightRing::with_capacity(8);
+        for i in 0..3u64 {
+            ring.record(i as f64, i, FlightKind::Arrival, 0, 0);
+        }
+        ring.reset();
+        for i in 3..10u64 {
+            ring.record(i as f64, i, FlightKind::Arrival, 0, 0);
+        }
+        // Epoch records 0..7 are seqs 3..10; skip two, keep even ids.
+        let snap = ring.snapshot_since(2, |r| r.req.is_multiple_of(2));
+        let seqs: Vec<u64> = snap.records.iter().map(|r| r.seq).collect();
+        assert_eq!(seqs, vec![6, 8]);
+        assert_eq!(snap.appended, 7);
+        assert_eq!(snap.dropped, 5);
+        assert_eq!(snap.records.capacity(), 2);
+        // Past the head, nothing; after a lap, only what the ring holds.
+        assert!(ring.snapshot_since(7, |_| true).records.is_empty());
+        assert!(ring.snapshot_since(u64::MAX, |_| true).records.is_empty());
+        for i in 10..20u64 {
+            ring.record(i as f64, i, FlightKind::Arrival, 0, 0);
+        }
+        let lapped = ring.snapshot_since(7, |_| true);
+        let seqs: Vec<u64> = lapped.records.iter().map(|r| r.seq).collect();
+        assert_eq!(seqs, (12..20).collect::<Vec<_>>());
+        assert_eq!(ring.snapshot_since(0, |_| true), ring.snapshot());
     }
 
     #[test]

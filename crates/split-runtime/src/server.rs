@@ -40,6 +40,7 @@ use parking_lot::Mutex;
 use sched::policy::{SplitCfg, SplitMachine};
 use split_core::ElasticController;
 use split_forensics::{FlightKind, FlightRing, FlightSnapshot, ForensicsCfg, IncidentBundle};
+use split_obs::slo::AlertSource;
 use split_obs::{AlertLog, SloCfg, SloMonitor};
 use split_telemetry::{Event, Recorder, RecorderMode, SharedRecorder};
 use split_watch::{DriftReport, DriftWatch, WatchCfg};
@@ -146,10 +147,9 @@ struct Shared {
     /// a compact lock-free record (`None` when disabled via
     /// `SPLIT_FLIGHT=0`).
     flight: Option<FlightRing>,
-    /// Ring snapshots taken the instant each alert fired, so the
-    /// pre-incident history survives even if the ring wraps before
-    /// shutdown.
-    incident_rings: Mutex<Vec<FlightSnapshot>>,
+    /// Flight history frozen the instant each burn-rate alert fired, so
+    /// it survives even if the ring wraps before shutdown.
+    frozen: Mutex<FrozenFlight>,
     /// Phase 1 of shutdown: once set, `infer` returns a disconnected
     /// reply channel without publishing.
     ingest_closed: AtomicBool,
@@ -157,6 +157,57 @@ struct Shared {
     /// decision, simulating a slow combiner pass (see
     /// [`Server::set_combiner_stall_ns`]).
     combiner_stall_ns: AtomicU64,
+}
+
+/// Flight records frozen at burn-rate alert fires. Each freeze copies
+/// only what an incident bundle can scope and no earlier freeze holds:
+/// the records appended since the previous freeze that fall in the new
+/// alert's window (from `fired − slow window` on) or in the previous
+/// burn-rate alert's window (its post-fire part). So memory grows with
+/// the incident windows, not by a whole ring per alert.
+#[derive(Default)]
+struct FrozenFlight {
+    /// Ring records (of its epoch) that earlier freezes have looked at.
+    seen: u64,
+    snapshots: Vec<FlightSnapshot>,
+}
+
+impl FrozenFlight {
+    fn freeze(&mut self, ring: &FlightRing, scope: FreezeScope) {
+        let snap = ring.snapshot_since(self.seen, |r| {
+            r.t_us >= scope.from_us || r.t_us <= scope.prev_end_us
+        });
+        self.seen = snap.appended;
+        self.snapshots.push(snap);
+    }
+}
+
+/// The time ranges a freeze keeps (see [`FrozenFlight`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct FreezeScope {
+    /// Start of the newly fired alert's bundle window.
+    from_us: f64,
+    /// End of the previous burn-rate alert's bundle window (−∞ if none).
+    prev_end_us: f64,
+}
+
+impl FreezeScope {
+    /// Scope for the burn-rate alert that just fired, the last one in
+    /// `log`. The windows are those `bundles_for_alerts` scopes.
+    fn of(log: &AlertLog, slow_window_us: f64) -> Self {
+        let mut burns = log
+            .alerts
+            .iter()
+            .rev()
+            .filter(|a| a.source == AlertSource::BurnRate);
+        let fired = burns.next().expect("a burn-rate alert fired");
+        FreezeScope {
+            from_us: (fired.fired_at_us - slow_window_us).max(0.0),
+            prev_end_us: burns.next().map_or(f64::NEG_INFINITY, |a| {
+                a.resolved_at_us.unwrap_or(a.fired_at_us).max(a.fired_at_us)
+            }),
+        }
+    }
 }
 
 impl Shared {
@@ -276,12 +327,13 @@ fn handle_next_block(
                 depth: st.machine.queued(),
                 t_us: end,
             });
-            let newly_fired = {
+            let freeze = {
                 let mut slo = shared.slo.lock();
                 let before = slo.log().fired();
                 let e2e = done.e2e_us();
                 slo.observe_outcome(end, e2e, done.exec_us);
-                let burn_fired = slo.log().fired() > before;
+                let burn_scope = (slo.log().fired() > before)
+                    .then(|| FreezeScope::of(slo.log(), slo.cfg().slow_window_us));
                 // Feed the drift watch with the already-judged verdict
                 // (same α rule the SLO monitor just applied) and forward
                 // any regime events into the alert log. Lock order is
@@ -292,14 +344,12 @@ fn handle_next_block(
                 for ev in drift.drain_events() {
                     slo.observe_regime(&ev);
                 }
-                burn_fired
+                burn_scope
             };
-            if newly_fired {
+            if let (Some(scope), Some(ring)) = (freeze, &shared.flight) {
                 // Freeze the pre-incident history the instant the alert
                 // fires, before the ring can wrap over it.
-                if let Some(ring) = &shared.flight {
-                    shared.incident_rings.lock().push(ring.snapshot());
-                }
+                shared.frozen.lock().freeze(ring, scope);
             }
             let _ = reply.send(InferenceReply {
                 id: fin.id,
@@ -472,7 +522,7 @@ impl Server {
             })),
             flight: split_forensics::flight_enabled()
                 .then(|| FlightRing::with_capacity(split_forensics::flight_capacity())),
-            incident_rings: Mutex::new(Vec::new()),
+            frozen: Mutex::new(FrozenFlight::default()),
             ingest_closed: AtomicBool::new(false),
             combiner_stall_ns: AtomicU64::new(0),
         });
@@ -613,8 +663,8 @@ impl Server {
             let slo = self.shared.slo.lock();
             (slo.log().clone(), slo.cfg().clone())
         };
-        // Merge the fire-time ring snapshots (pre-incident history that
-        // may since have been overwritten) with the final ring state.
+        // Merge the fire-time freezes (pre-incident history that may
+        // since have been overwritten) with the final ring state.
         let flight = {
             let mut merged = self
                 .shared
@@ -622,7 +672,7 @@ impl Server {
                 .as_ref()
                 .map(|r| r.snapshot())
                 .unwrap_or_else(FlightSnapshot::disabled);
-            for snap in self.shared.incident_rings.lock().drain(..) {
+            for snap in self.shared.frozen.lock().snapshots.drain(..) {
                 merged = merged.merge(&snap);
             }
             merged
@@ -1136,6 +1186,71 @@ mod tests {
             models.contains("short") && models.contains("long"),
             "{models:?}"
         );
+    }
+
+    #[test]
+    fn freezes_keep_incident_windows_once() {
+        let burn = |fired: f64, resolved: Option<f64>| split_obs::Alert {
+            fired_at_us: fired,
+            resolved_at_us: resolved,
+            fast_burn_at_fire: 1.0,
+            slow_burn_at_fire: 1.0,
+            source: AlertSource::BurnRate,
+            detail: String::new(),
+        };
+        let regime = split_obs::Alert {
+            source: AlertSource::RegimeShift,
+            ..burn(150.0, Some(150.0))
+        };
+        let mut log = AlertLog::default();
+        log.alerts.push(burn(50.0, None));
+        assert_eq!(
+            FreezeScope::of(&log, 100.0),
+            FreezeScope {
+                from_us: 0.0,
+                prev_end_us: f64::NEG_INFINITY
+            }
+        );
+        log.alerts[0].resolved_at_us = Some(120.0);
+        log.alerts.push(regime);
+        log.alerts.push(burn(400.0, None));
+        let second = FreezeScope::of(&log, 100.0);
+        assert_eq!(
+            second,
+            FreezeScope {
+                from_us: 300.0,
+                prev_end_us: 120.0
+            }
+        );
+
+        let ring = FlightRing::with_capacity(64);
+        let mut frozen = FrozenFlight::default();
+        for t in 0..6 {
+            ring.record(f64::from(t) * 10.0, 0, FlightKind::Arrival, 0, 0);
+        }
+        frozen.freeze(
+            &ring,
+            FreezeScope {
+                from_us: 20.0,
+                prev_end_us: f64::NEG_INFINITY,
+            },
+        );
+        for t in 6..50 {
+            ring.record(f64::from(t) * 10.0, 0, FlightKind::Arrival, 0, 0);
+        }
+        frozen.freeze(&ring, second);
+        let times: Vec<Vec<f64>> = frozen
+            .snapshots
+            .iter()
+            .map(|s| s.records.iter().map(|r| r.t_us).collect())
+            .collect();
+        // Nothing is copied twice, and the gap between the first
+        // alert's window end (120) and the second's start (300) is not
+        // copied at all.
+        let mut second_times = vec![60.0, 70.0, 80.0, 90.0, 100.0, 110.0, 120.0];
+        second_times.extend((30..50).map(|t| f64::from(t) * 10.0));
+        assert_eq!(times, vec![vec![20.0, 30.0, 40.0, 50.0], second_times]);
+        assert_eq!(frozen.seen, 50);
     }
 
     #[test]
