@@ -9,9 +9,10 @@
 //!   [`gpu_sim::CostTable`] built once; their p50 ratio is the table's
 //!   per-candidate speedup;
 //! * `ga_split/<model>` — the offline GA split search per model;
-//! * `ga_split_seq/gpt2` vs `ga_split_par<N>/gpt2` — the same search
-//!   pinned to one pool worker vs the ambient `SPLIT_THREADS` width
-//!   (their p50 ratio is the pool's speedup on population profiling);
+//! * `ga_split_seq/gpt2` vs `ga_split_par/gpt2` — the same search
+//!   pinned to one pool worker vs the ambient `SPLIT_THREADS` width,
+//!   recorded in the entry's `threads` field (their p50 ratio is the
+//!   pool's speedup on population profiling);
 //! * `simulate/<policy>` — one full `sched::simulate` of the Figure 6
 //!   scenario-3 workload per serving policy;
 //! * `telemetry/*` — deriving the metrics registry + snapshot from a
@@ -102,6 +103,9 @@ struct Entry {
     /// per-iteration wall samples.
     p99_ns: Option<u64>,
     p999_ns: Option<u64>,
+    /// Pool width the entry ran at, for entries whose name does not fix
+    /// it (the pooled GA search); `None` elsewhere.
+    threads: Option<usize>,
 }
 
 /// Time `iters` runs of `f` after `iters/5` (min 1) untimed warmup runs
@@ -144,6 +148,7 @@ impl Entry {
             items: None,
             p99_ns: None,
             p999_ns: None,
+            threads: None,
         }
     }
 
@@ -168,6 +173,7 @@ impl Entry {
             items: None,
             p99_ns: Some(p99),
             p999_ns: Some(p999),
+            threads: None,
         }
     }
 
@@ -354,11 +360,11 @@ fn main() {
         let seq = time("ga_split_seq/gpt2", ITERS, || {
             rayon::with_threads(1, || evolve(&graph, &dev, &cfg))
         });
-        let par = time(
-            format!("ga_split_par{}/gpt2", rayon::current_threads()),
-            ITERS,
-            || evolve(&graph, &dev, &cfg),
-        );
+        let par = time("ga_split_par/gpt2", ITERS, || evolve(&graph, &dev, &cfg));
+        let par = Entry {
+            threads: Some(rayon::current_threads()),
+            ..par
+        };
         println!(
             "    pool speedup (seq p50 / par p50, {} workers): {:.2}x",
             rayon::current_threads(),
@@ -760,6 +766,9 @@ fn main() {
                 m.insert("p50_ns", Value::Number(Number::PosInt(e.p50_ns)));
                 m.insert("mean_ns", Value::Number(Number::Float(e.mean_ns)));
                 m.insert("iters", Value::Number(Number::PosInt(e.iters as u64)));
+                if let Some(threads) = e.threads {
+                    m.insert("threads", Value::Number(Number::PosInt(threads as u64)));
+                }
                 if let Some(per_item) = e.ns_per_item() {
                     m.insert("ns_per_item", Value::Number(Number::Float(per_item)));
                 }

@@ -10,13 +10,10 @@
 //! 3. the slowdown that concurrent streams inflict on each other
 //!    ([`contention`]) — what the RT-A / Stream-Parallel baselines pay.
 //!
-//! On top of the cost model sit two execution engines:
-//!
-//! * [`timeline::Timeline`] — a sequential device timeline used by the
-//!   sequential policies (SPLIT, ClockWork, PREMA), and
-//! * [`fluid::FluidSim`] — a processor-sharing discrete-event engine used
-//!   by the concurrent multi-stream baseline (RT-A), where `k` resident
-//!   requests each progress at rate `1/slowdown(k)`.
+//! On top of the cost model sit [`fluid::FluidSim`], a processor-sharing
+//! discrete-event engine for the concurrent multi-stream baselines, where
+//! `k` resident requests each progress at rate `1/slowdown(k)`, and the
+//! [`trace::Trace`] of typed device spans every policy records into.
 //!
 //! All times are `f64` microseconds; the simulators are bit-deterministic.
 
@@ -27,7 +24,6 @@ pub mod device;
 pub mod fluid;
 pub mod kernel;
 pub mod memory;
-pub mod timeline;
 pub mod trace;
 pub mod transfer;
 
@@ -38,6 +34,5 @@ pub use device::DeviceConfig;
 pub use fluid::{FluidJob, FluidSim};
 pub use kernel::{block_time_us, op_time_us, op_times_us, split_block_times_us};
 pub use memory::{ModelMemory, ResidencyOutcome};
-pub use timeline::Timeline;
-pub use trace::{parse_block_label, BlockEvents, Trace, TraceEvent, TransferRecord};
+pub use trace::{BlockEvents, Trace, TraceEvent, TransferRecord};
 pub use transfer::boundary_transfer_us;

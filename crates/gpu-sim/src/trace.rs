@@ -4,8 +4,9 @@
 //! let tests assert scheduling invariants such as "blocks of one request
 //! never interleave with a preemptor's blocks" precisely.
 
-use serde::{Deserialize, Serialize};
 use split_telemetry::Event;
+use std::fmt;
+use std::sync::Arc;
 
 /// Fill glyph for a Gantt row. The first nine rows use the classic
 /// high-contrast set; rows beyond that switch to letters and digits so
@@ -20,30 +21,17 @@ fn row_glyph(row: usize) -> char {
     }
 }
 
-/// Parse a scheduler span label of the form `model#req` or
-/// `model#req/bN` into `(model, request id, block index)`.
-///
-/// Every policy in `sched` labels its spans this way; the lifecycle
-/// exporter uses this to attribute device spans back to requests.
-pub fn parse_block_label(label: &str) -> Option<(&str, u64, Option<usize>)> {
-    let hash = label.rfind('#')?;
-    let (model, rest) = (&label[..hash], &label[hash + 1..]);
-    let (req_str, block) = match rest.find('/') {
-        Some(slash) => {
-            let b = rest[slash + 1..].strip_prefix('b')?.parse().ok()?;
-            (&rest[..slash], Some(b))
-        }
-        None => (rest, None),
-    };
-    let req = req_str.parse().ok()?;
-    Some((model, req, block))
-}
-
-/// One executed span on the device.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// One executed span on the device: a slice of one request's work.
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceEvent {
-    /// Human-readable label, e.g. `"req3/resnet50/block1"`.
-    pub label: String,
+    /// Request the span belongs to.
+    pub req: u64,
+    /// Name of the request's model.
+    pub model: Arc<str>,
+    /// Block index within the request's split plan, for block-granular
+    /// policies (SPLIT, block round-robin); `None` for a span that is not
+    /// one planned block.
+    pub block: Option<u32>,
     /// Stream (lane) the span ran on; sequential policies use stream 0.
     pub stream: usize,
     /// Start time, microseconds.
@@ -59,8 +47,20 @@ impl TraceEvent {
     }
 }
 
+/// The span's name: `model#req`, then `/bN` for a block span. Without
+/// the block it names a row of [`Trace::render_ascii`].
+impl fmt::Display for TraceEvent {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}#{}", self.model, self.req)?;
+        match self.block {
+            Some(b) => write!(f, "/b{b}"),
+            None => Ok(()),
+        }
+    }
+}
+
 /// One boundary activation transfer attributed to a request.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TransferRecord {
     /// Request id the transfer belongs to.
     pub req: u64,
@@ -86,10 +86,9 @@ impl TransferRecord {
 }
 
 /// An ordered collection of trace events.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Trace {
     events: Vec<TraceEvent>,
-    #[serde(default)]
     transfers: Vec<TransferRecord>,
 }
 
@@ -99,11 +98,22 @@ impl Trace {
         Self::default()
     }
 
-    /// Record a span.
-    pub fn record(&mut self, label: impl Into<String>, stream: usize, start_us: f64, end_us: f64) {
+    /// Record a span of request `req` (of `model`; `block` for a block
+    /// span) on `stream`.
+    pub fn record(
+        &mut self,
+        req: u64,
+        model: impl Into<Arc<str>>,
+        block: Option<u32>,
+        stream: usize,
+        start_us: f64,
+        end_us: f64,
+    ) {
         debug_assert!(end_us >= start_us, "span ends before it starts");
         self.events.push(TraceEvent {
-            label: label.into(),
+            req,
+            model: model.into(),
+            block,
             stream,
             start_us,
             end_us,
@@ -129,14 +139,6 @@ impl Trace {
     /// All recorded transfers in recording order.
     pub fn transfers(&self) -> &[TransferRecord] {
         &self.transfers
-    }
-
-    /// Events whose label contains `needle`.
-    pub fn matching(&self, needle: &str) -> Vec<&TraceEvent> {
-        self.events
-            .iter()
-            .filter(|e| e.label.contains(needle))
-            .collect()
     }
 
     /// Verify that no two events on the same stream overlap in time.
@@ -172,24 +174,19 @@ impl Trace {
     /// [`Event::BlockEnd`] pairs, ordered by start time and made on
     /// demand.
     ///
-    /// Request ids come from [`parse_block_label`]; spans with
-    /// unparseable labels are skipped. Block indices are assigned per
-    /// request in start order (matching the `/bN` suffix when present).
+    /// Block indices are assigned per request in start order (matching
+    /// [`TraceEvent::block`] when present).
     /// Streams are re-assigned by greedy interval coloring — concurrent
     /// spans land on distinct streams even when the recording policy
     /// folded several requests onto one lane — so the export always
     /// satisfies the recorder's no-same-stream-overlap invariant and
     /// renders one clean track per concurrency lane in Perfetto.
     pub fn block_events(&self) -> BlockEvents<'_> {
-        let mut spans: Vec<(&TraceEvent, u64)> = self
-            .events
-            .iter()
-            .filter_map(|e| parse_block_label(&e.label).map(|(_, req, _)| (e, req)))
-            .collect();
-        let by_start = |a: &(&TraceEvent, u64), b: &(&TraceEvent, u64)| {
-            a.0.start_us
-                .total_cmp(&b.0.start_us)
-                .then(a.0.end_us.total_cmp(&b.0.end_us))
+        let mut spans: Vec<&TraceEvent> = self.events.iter().collect();
+        let by_start = |a: &&TraceEvent, b: &&TraceEvent| {
+            a.start_us
+                .total_cmp(&b.start_us)
+                .then(a.end_us.total_cmp(&b.end_us))
         };
         // Sequential policies record in start order already; the sort is
         // stable, so skipping it then changes nothing.
@@ -198,10 +195,10 @@ impl Trace {
         }
         let sequential = spans
             .iter()
-            .all(|(e, _)| e.start_us.total_cmp(&e.end_us).is_lt())
+            .all(|e| e.start_us.total_cmp(&e.end_us).is_lt())
             && spans
                 .windows(2)
-                .all(|w| w[0].0.end_us.total_cmp(&w[1].0.start_us).is_le());
+                .all(|w| w[0].end_us.total_cmp(&w[1].start_us).is_le());
         let mut events = BlockEvents {
             spans: spans.into_iter(),
             sequential,
@@ -293,10 +290,10 @@ impl Trace {
         busy
     }
 
-    /// Render a fixed-width ASCII Gantt chart, one row per distinct label
-    /// prefix (up to the first `/`), `width` columns spanning the full
-    /// trace. Used by the schedule-gallery example to reproduce the
-    /// flavour of the paper's Figure 1.
+    /// Render a fixed-width ASCII Gantt chart, one row per request
+    /// (named `model#req`), `width` columns spanning the full trace. Used
+    /// by the schedule-gallery example to reproduce the flavour of the
+    /// paper's Figure 1.
     pub fn render_ascii(&self, width: usize) -> String {
         if self.events.is_empty() {
             return String::from("(empty trace)\n");
@@ -310,11 +307,15 @@ impl Trace {
         let span = (t1 - t0).max(1e-9);
         let mut rows: Vec<(String, Vec<char>)> = Vec::new();
         for e in &self.events {
-            let key = e.label.split('/').next().unwrap_or(&e.label).to_string();
+            let key = TraceEvent {
+                block: None,
+                ..e.clone()
+            }
+            .to_string();
             let row = match rows.iter().position(|(k, _)| *k == key) {
                 Some(i) => i,
                 None => {
-                    rows.push((key.clone(), vec![' '; width]));
+                    rows.push((key, vec![' '; width]));
                     rows.len() - 1
                 }
             };
@@ -347,8 +348,8 @@ impl Trace {
 /// made ahead, so [`BlockEvents::peek`] needs no mutable access.
 #[derive(Debug)]
 pub struct BlockEvents<'a> {
-    /// Spans not yet made into events, with their request ids.
-    spans: std::vec::IntoIter<(&'a TraceEvent, u64)>,
+    /// Spans not yet made into events.
+    spans: std::vec::IntoIter<&'a TraceEvent>,
     /// [`BlockEvents::is_sequential`], decided over all spans up front.
     sequential: bool,
     /// Blocks handed out per request so far.
@@ -377,9 +378,10 @@ impl BlockEvents<'_> {
 
     /// Make the next span's pair.
     fn advance(&mut self) {
-        let Some((e, req)) = self.spans.next() else {
+        let Some(e) = self.spans.next() else {
             return;
         };
+        let req = e.req;
         let block = {
             let n = self.blocks_seen.entry(req).or_insert(0);
             let b = *n;
@@ -478,14 +480,10 @@ mod tests {
             .collect()
     }
 
-    /// [`Trace::lifecycle_events`] before it parsed each label once and
-    /// skipped the sort of in-order spans, kept as its reference.
+    /// [`Trace::lifecycle_events`] before it skipped the sort of in-order
+    /// spans and made its events on demand, kept as its reference.
     fn lifecycle_events_parse_twice(t: &Trace) -> Vec<Event> {
-        let mut spans: Vec<&TraceEvent> = t
-            .events
-            .iter()
-            .filter(|e| parse_block_label(&e.label).is_some())
-            .collect();
+        let mut spans: Vec<&TraceEvent> = t.events.iter().collect();
         spans.sort_by(|a, b| {
             a.start_us
                 .total_cmp(&b.start_us)
@@ -496,7 +494,7 @@ mod tests {
         let mut lane_free_us: Vec<f64> = Vec::new();
         let mut out = Vec::new();
         for e in spans {
-            let (_, req, _) = parse_block_label(&e.label).expect("filtered above");
+            let req = e.req;
             let n = blocks_seen.entry(req).or_insert(0);
             let block = *n;
             *n += 1;
@@ -548,7 +546,7 @@ mod tests {
 
     /// Traces of spans on a coarse grid (touching and overlapping spans
     /// are common, zero-length ones too), in shuffled recording order,
-    /// with some unparseable labels and a few transfers.
+    /// some of them blocks and some not, with a few transfers.
     fn grid_trace() -> impl Strategy<Value = Trace> {
         (
             collection::vec((0u32..60, 0u32..12, 0u64..6, 0usize..3, 0u8..5), 1..40),
@@ -560,12 +558,8 @@ mod tests {
                 let at = |x: u32| offset + f64::from(x * scale) * 0.25;
                 let mut t = Trace::new();
                 for (start, len, req, stream, kind) in spans {
-                    let label = match kind {
-                        0 => "idle".to_string(),
-                        1 => format!("m#{req}"),
-                        _ => format!("m#{req}/b{kind}"),
-                    };
-                    t.record(label, stream, at(start), at(start + len));
+                    let block = (kind > 1).then_some(u32::from(kind));
+                    t.record(req, "m", block, stream, at(start), at(start + len));
                 }
                 for (req, start) in transfers {
                     t.record_transfer(req, 64, at(start), 0.0);
@@ -643,7 +637,7 @@ mod tests {
             for (gap, len, req) in spans {
                 let start = at + f64::from(gap);
                 at = start + f64::from(len);
-                t.record(format!("m#{req}"), 0, start, at);
+                t.record(req, "m", None, 0, start, at);
             }
             t
         })
@@ -662,38 +656,39 @@ mod tests {
     #[test]
     fn record_and_query() {
         let mut t = Trace::new();
-        t.record("a/b0", 0, 0.0, 10.0);
-        t.record("b/b0", 0, 10.0, 30.0);
-        t.record("a/b1", 0, 30.0, 40.0);
+        t.record(0, "a", Some(0), 0, 0.0, 10.0);
+        t.record(1, "b", Some(0), 0, 10.0, 30.0);
+        t.record(0, "a", Some(1), 0, 30.0, 40.0);
         assert_eq!(t.events().len(), 3);
-        assert_eq!(t.matching("a/").len(), 2);
+        assert_eq!(t.events().iter().filter(|e| e.req == 0).count(), 2);
         assert_eq!(t.events()[1].duration_us(), 20.0);
+        assert_eq!(t.events()[2].to_string(), "a#0/b1");
     }
 
     #[test]
     fn overlap_detection() {
         let mut ok = Trace::new();
-        ok.record("a", 0, 0.0, 10.0);
-        ok.record("b", 0, 10.0, 20.0);
-        ok.record("c", 1, 5.0, 15.0); // other stream may overlap
+        ok.record(0, "a", None, 0, 0.0, 10.0);
+        ok.record(1, "b", None, 0, 10.0, 20.0);
+        ok.record(2, "c", None, 1, 5.0, 15.0); // other stream may overlap
         assert!(ok.first_overlap().is_none());
 
         let mut bad = Trace::new();
-        bad.record("a", 0, 0.0, 10.0);
-        bad.record("b", 0, 9.0, 20.0);
+        bad.record(0, "a", None, 0, 0.0, 10.0);
+        bad.record(1, "b", None, 0, 9.0, 20.0);
         let (x, y) = bad.first_overlap().expect("must detect overlap");
-        assert_eq!(x.label, "a");
-        assert_eq!(y.label, "b");
+        assert_eq!(x.to_string(), "a#0");
+        assert_eq!(y.to_string(), "b#1");
     }
 
     #[test]
     fn ascii_render_has_all_rows() {
         let mut t = Trace::new();
-        t.record("reqA/b0", 0, 0.0, 50.0);
-        t.record("reqB/b0", 0, 50.0, 100.0);
+        t.record(0, "reqA", Some(0), 0, 0.0, 50.0);
+        t.record(1, "reqB", Some(0), 0, 50.0, 100.0);
         let s = t.render_ascii(40);
-        assert!(s.contains("reqA"));
-        assert!(s.contains("reqB"));
+        assert!(s.contains("reqA#0 |"));
+        assert!(s.contains("reqB#1 |"));
     }
 
     #[test]
@@ -710,7 +705,9 @@ mod tests {
         let n = 12;
         for i in 0..n {
             t.record(
-                format!("req{i:02}/b0"),
+                i as u64,
+                "req",
+                Some(0),
                 0,
                 i as f64 * 10.0,
                 i as f64 * 10.0 + 10.0,
@@ -730,24 +727,13 @@ mod tests {
     }
 
     #[test]
-    fn label_parsing() {
-        assert_eq!(parse_block_label("vgg19#3/b2"), Some(("vgg19", 3, Some(2))));
-        assert_eq!(
-            parse_block_label("resnet50#17"),
-            Some(("resnet50", 17, None))
-        );
-        assert_eq!(parse_block_label("no-request-id"), None);
-        assert_eq!(parse_block_label("m#x/b1"), None);
-    }
-
-    #[test]
     fn lifecycle_events_pair_up_and_avoid_lane_collisions() {
         let mut t = Trace::new();
-        t.record("long#0/b0", 0, 0.0, 10.0);
-        t.record("short#1/b0", 0, 10.0, 15.0);
-        t.record("long#0/b1", 0, 15.0, 25.0);
+        t.record(0, "long", Some(0), 0, 0.0, 10.0);
+        t.record(1, "short", Some(0), 0, 10.0, 15.0);
+        t.record(0, "long", Some(1), 0, 15.0, 25.0);
         // Concurrent span recorded on the *same* lane by a fluid policy.
-        t.record("other#2", 0, 5.0, 12.0);
+        t.record(2, "other", None, 0, 5.0, 12.0);
         let ev = t.lifecycle_events();
         assert_eq!(ev.len(), 8);
         // Block indices follow per-request start order.
@@ -773,9 +759,9 @@ mod tests {
     #[test]
     fn transfers_export_as_lifecycle_events() {
         let mut t = Trace::new();
-        t.record("m#0/b0", 0, 0.0, 10.0);
+        t.record(0, "m", Some(0), 0, 0.0, 10.0);
         t.record_transfer(0, 4096, 10.0, 0.0);
-        t.record("m#0/b1", 0, 10.0, 20.0);
+        t.record(0, "m", Some(1), 0, 10.0, 20.0);
         assert_eq!(t.transfers().len(), 1);
         assert_eq!(t.transfers()[0].bytes, 4096);
         let ev = t.lifecycle_events();
@@ -801,9 +787,9 @@ mod tests {
     #[test]
     fn busy_between_unions_overlaps_and_clips() {
         let mut t = Trace::new();
-        t.record("a#0", 0, 0.0, 10.0);
-        t.record("b#1", 1, 5.0, 12.0); // overlap [5,10] counted once
-        t.record("c#2", 0, 20.0, 30.0);
+        t.record(0, "a", None, 0, 0.0, 10.0);
+        t.record(1, "b", None, 1, 5.0, 12.0); // overlap [5,10] counted once
+        t.record(2, "c", None, 0, 20.0, 30.0);
         assert!((t.busy_us_between(0.0, 30.0) - 22.0).abs() < 1e-9);
         // Clipped window cuts both ends.
         assert!((t.busy_us_between(6.0, 25.0) - 11.0).abs() < 1e-9);
@@ -815,9 +801,9 @@ mod tests {
     #[test]
     fn utilization_series_measures_coverage() {
         let mut t = Trace::new();
-        t.record("a#0", 0, 0.0, 10.0);
-        t.record("b#1", 1, 5.0, 10.0); // overlaps — union still [0, 10]
-        t.record("c#2", 0, 15.0, 20.0);
+        t.record(0, "a", None, 0, 0.0, 10.0);
+        t.record(1, "b", None, 1, 5.0, 10.0); // overlaps — union still [0, 10]
+        t.record(2, "c", None, 0, 15.0, 20.0);
         let u = t.utilization_series(10.0);
         assert_eq!(u.len(), 2);
         match (&u[0], &u[1]) {

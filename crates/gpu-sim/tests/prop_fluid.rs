@@ -1,7 +1,7 @@
-//! Property tests for the processor-sharing engine and the sequential
-//! timeline — conservation laws that must hold for any workload.
+//! Property tests for the processor-sharing engine — conservation laws
+//! that must hold for any workload.
 
-use gpu_sim::{ContentionModel, FluidJob, FluidSim, Timeline};
+use gpu_sim::{ContentionModel, FluidJob, FluidSim};
 use proptest::prelude::*;
 
 fn jobs_strategy() -> impl Strategy<Value = Vec<FluidJob>> {
@@ -75,21 +75,5 @@ proptest! {
             // admitted while the device drains a backlog).
             prop_assert!(g + 1e-6 >= j.arrival_us);
         }
-    }
-
-    /// The sequential timeline is work-conserving and non-overlapping.
-    #[test]
-    fn timeline_work_conserving(spans in proptest::collection::vec((0.0f64..100_000.0, 0.0f64..10_000.0), 1..50)) {
-        let mut tl = Timeline::new();
-        let mut total = 0.0;
-        for (i, (earliest, dur)) in spans.iter().enumerate() {
-            let (s, e) = tl.execute(format!("s{i}"), *earliest, *dur);
-            prop_assert!(s >= *earliest);
-            prop_assert!((e - s - dur).abs() < 1e-9);
-            total += dur;
-        }
-        prop_assert!(tl.trace().first_overlap().is_none());
-        // Busy time can't be less than total work.
-        prop_assert!(tl.busy_until_us() >= total - 1e-6);
     }
 }

@@ -6,34 +6,46 @@
 //! behind a long one simply waits — the latency pathology SPLIT attacks
 //! (Figure 1's "Sequential" lane).
 
+use super::serial::{serve, whole, Discipline, Dispatch, Req, Slice};
 use crate::engine::SimResult;
-use crate::request::{Completion, ModelTable};
-use gpu_sim::Timeline;
+use crate::request::ModelTable;
+use std::collections::VecDeque;
 use workload::Arrival;
+
+/// First come, first served; with a target, a request whose predicted
+/// response ratio at dispatch exceeds it is dropped instead.
+struct Fifo<'a> {
+    target_alpha: Option<f64>,
+    waiting: VecDeque<Req<'a>>,
+}
+
+impl<'a> Discipline<'a> for Fifo<'a> {
+    const SERVICE_ORDER: bool = true;
+
+    fn admit(&mut self, req: Req<'a>) {
+        self.waiting.push_back(req);
+    }
+
+    fn dispatch(&mut self, now: f64) -> Option<Dispatch<'a>> {
+        let s = whole(self.waiting.pop_front()?, now);
+        // FCFS makes the wait known at arrival exact at dispatch: nothing
+        // behind the request can run first, and a dropped one never
+        // occupies the device.
+        let predicted_rr = |s: &Slice| (s.start_us - s.req.arrival_us + s.run_us) / s.run_us;
+        Some(match self.target_alpha {
+            Some(alpha) if predicted_rr(&s) > alpha => Dispatch::Drop(s.req.id),
+            _ => Dispatch::Run(s),
+        })
+    }
+}
 
 /// Serve the trace FCFS, whole models, no preemption.
 pub fn clockwork(arrivals: &[Arrival], models: &ModelTable) -> SimResult {
-    let mut tl = Timeline::new();
-    let mut completions = Vec::with_capacity(arrivals.len());
-    for a in arrivals {
-        let m = models.get(&a.model);
-        let (start, end) = tl.execute(format!("{}#{}", m.name, a.id), a.arrival_us, m.exec_us);
-        completions.push(Completion {
-            id: a.id,
-            model: m.name.clone(),
-            task: m.task,
-            arrival_us: a.arrival_us,
-            start_us: start,
-            end_us: end,
-            exec_us: m.exec_us,
-        });
-    }
-    SimResult {
-        completions,
-        trace: tl.into_trace(),
-        recorder: Default::default(),
-        flight: Default::default(),
-    }
+    let fifo = Fifo {
+        target_alpha: None,
+        waiting: VecDeque::new(),
+    };
+    serve(arrivals, models, fifo).0
 }
 
 /// ClockWork's signature admission control (§7: "dropping tasks predicted
@@ -55,37 +67,11 @@ pub fn clockwork_with_dropping(
         target_alpha > 1.0,
         "a target below 1x isolated time drops everything"
     );
-    let mut tl = Timeline::new();
-    let mut completions = Vec::new();
-    let mut dropped = Vec::new();
-    for a in arrivals {
-        let m = models.get(&a.model);
-        let wait = (tl.busy_until_us() - a.arrival_us).max(0.0);
-        let predicted_rr = (wait + m.exec_us) / m.exec_us;
-        if predicted_rr > target_alpha {
-            dropped.push(a.id);
-            continue;
-        }
-        let (start, end) = tl.execute(format!("{}#{}", m.name, a.id), a.arrival_us, m.exec_us);
-        completions.push(Completion {
-            id: a.id,
-            model: m.name.clone(),
-            task: m.task,
-            arrival_us: a.arrival_us,
-            start_us: start,
-            end_us: end,
-            exec_us: m.exec_us,
-        });
-    }
-    (
-        SimResult {
-            completions,
-            trace: tl.into_trace(),
-            recorder: Default::default(),
-            flight: Default::default(),
-        },
-        dropped,
-    )
+    let fifo = Fifo {
+        target_alpha: Some(target_alpha),
+        waiting: VecDeque::new(),
+    };
+    serve(arrivals, models, fifo)
 }
 
 #[cfg(test)]

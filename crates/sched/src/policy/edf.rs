@@ -9,9 +9,9 @@
 //! optimality — which is exactly the gap SPLIT's block-boundary
 //! preemption closes.
 
+use super::serial::{serve, LeastKey};
 use crate::engine::SimResult;
-use crate::request::{Completion, ModelTable};
-use gpu_sim::Timeline;
+use crate::request::ModelTable;
 use serde::{Deserialize, Serialize};
 use workload::Arrival;
 
@@ -31,58 +31,8 @@ impl Default for EdfCfg {
 /// Serve the trace earliest-deadline-first, whole models, non-preemptive.
 pub fn edf(arrivals: &[Arrival], models: &ModelTable, cfg: &EdfCfg) -> SimResult {
     assert!(cfg.alpha > 0.0);
-    let mut tl = Timeline::new();
-    let mut completions: Vec<Completion> = Vec::with_capacity(arrivals.len());
-    let mut waiting: Vec<usize> = Vec::new();
-    let mut next = 0usize;
-    let mut now = 0.0f64;
-
-    while completions.len() < arrivals.len() {
-        while next < arrivals.len() && arrivals[next].arrival_us <= now + 1e-9 {
-            waiting.push(next);
-            next += 1;
-        }
-        if waiting.is_empty() {
-            now = arrivals[next].arrival_us;
-            continue;
-        }
-        let deadline = |idx: usize| {
-            let a = &arrivals[idx];
-            a.arrival_us + cfg.alpha * models.get(&a.model).exec_us
-        };
-        let pick_pos = waiting
-            .iter()
-            .enumerate()
-            .min_by(|(_, &a), (_, &b)| deadline(a).total_cmp(&deadline(b)).then(a.cmp(&b)))
-            .map(|(i, _)| i)
-            .expect("non-empty waiting set");
-        let idx = waiting.remove(pick_pos);
-        let a = &arrivals[idx];
-        let m = models.get(&a.model);
-        let (start, end) = tl.execute(
-            format!("{}#{}", m.name, a.id),
-            now.max(a.arrival_us),
-            m.exec_us,
-        );
-        now = end;
-        completions.push(Completion {
-            id: a.id,
-            model: m.name.clone(),
-            task: m.task,
-            arrival_us: a.arrival_us,
-            start_us: start,
-            end_us: end,
-            exec_us: m.exec_us,
-        });
-    }
-
-    completions.sort_by(|a, b| a.end_us.total_cmp(&b.end_us).then(a.id.cmp(&b.id)));
-    SimResult {
-        completions,
-        trace: tl.into_trace(),
-        recorder: Default::default(),
-        flight: Default::default(),
-    }
+    let deadline = |r: &super::serial::Req<'_>| r.arrival_us + cfg.alpha * r.model.exec_us;
+    serve(arrivals, models, LeastKey::new(deadline)).0
 }
 
 #[cfg(test)]

@@ -1,10 +1,13 @@
-//! The four serving policies (SPLIT + the §5.3 baselines).
+//! The serving policies: SPLIT, the §5.3 baselines, and the SJF, EDF and
+//! block round-robin ablations. The sequential baselines and ablations
+//! are disciplines of one single-stream loop (the `serial` module).
 
 pub mod block_rr;
 pub mod clockwork;
 pub mod edf;
 pub mod prema;
 pub mod rta;
+mod serial;
 pub mod sjf;
 pub mod split;
 pub mod stream_parallel;

@@ -15,9 +15,9 @@
 //! checkpoints recreate the original NPU behaviour and are used by the
 //! preemption-granularity ablation bench.
 
+use super::serial::{serve, Discipline, Dispatch, Req, Slice};
 use crate::engine::SimResult;
-use crate::request::{Completion, ModelTable};
-use gpu_sim::Trace;
+use crate::request::ModelTable;
 use serde::{Deserialize, Serialize};
 use workload::Arrival;
 
@@ -52,109 +52,77 @@ impl PremaCfg {
     }
 }
 
-struct Pending {
-    id: u64,
-    model_idx: usize,
-    arrival_us: f64,
+struct Pending<'a> {
+    req: Req<'a>,
     remaining_us: f64,
     started: Option<f64>,
+}
+
+/// PREMA's rules: the highest-token request runs one checkpoint (or the
+/// rest of its work), paying the switch penalty when it is not the
+/// request that ran last.
+struct Tokens<'a> {
+    cfg: &'a PremaCfg,
+    pending: Vec<Pending<'a>>,
+    last_run: Option<u64>,
+}
+
+impl<'a> Discipline<'a> for Tokens<'a> {
+    fn admit(&mut self, req: Req<'a>) {
+        self.pending.push(Pending {
+            req,
+            remaining_us: req.model.exec_us,
+            started: None,
+        });
+    }
+
+    fn dispatch(&mut self, now: f64) -> Option<Dispatch<'a>> {
+        // Token = static priority (1/exec: shorter ⇒ higher) × waiting time.
+        // Adding 1 keeps fresh arrivals schedulable.
+        let pick = (self.pending.iter().enumerate())
+            .map(|(i, p)| (i, (1.0 + (now - p.req.arrival_us)) / p.req.model.exec_us))
+            .max_by(|a, b| a.1.total_cmp(&b.1).then_with(|| b.0.cmp(&a.0)))?
+            .0;
+        let p = &mut self.pending[pick];
+        let switch = self.last_run != Some(p.req.id);
+        let overhead_us = if switch {
+            self.cfg.switch_overhead_us
+        } else {
+            0.0
+        };
+        // Run [now, now+overhead+slice); a new arrival mid-slice waits for
+        // the checkpoint (PREMA cannot preempt inside a checkpoint).
+        let run_us = p.remaining_us.min(self.cfg.checkpoint_us);
+        let started_us = *p.started.get_or_insert(now + overhead_us);
+        self.last_run = Some(p.req.id);
+        p.remaining_us -= run_us;
+        let (req, done) = (p.req, p.remaining_us <= 1e-9);
+        if done {
+            // Before any later arrival is pushed: the tie-break reads
+            // the waiting set's order.
+            self.pending.swap_remove(pick);
+        }
+        Some(Dispatch::Run(Slice {
+            req,
+            start_us: now,
+            overhead_us,
+            run_us,
+            block: None,
+            started_us,
+            done,
+        }))
+    }
 }
 
 /// Serve the trace with PREMA's token scheduler.
 pub fn prema(arrivals: &[Arrival], models: &ModelTable, cfg: &PremaCfg) -> SimResult {
     assert!(cfg.checkpoint_us > 0.0);
-    // Resolve models once (name, task, exec) to avoid repeated lookups.
-    let resolved: Vec<(std::sync::Arc<str>, u32, f64)> = arrivals
-        .iter()
-        .map(|a| {
-            let m = models.get(&a.model);
-            (m.name.clone(), m.task, m.exec_us)
-        })
-        .collect();
-
-    let mut pending: Vec<Pending> = Vec::new();
-    let mut completions = Vec::with_capacity(arrivals.len());
-    let mut trace = Trace::new();
-    let mut now = 0.0f64;
-    let mut next_arrival = 0usize;
-    let mut last_run: Option<u64> = None;
-
-    loop {
-        // Admit everything that has arrived.
-        while next_arrival < arrivals.len() && arrivals[next_arrival].arrival_us <= now + 1e-9 {
-            let a = &arrivals[next_arrival];
-            pending.push(Pending {
-                id: a.id,
-                model_idx: next_arrival,
-                arrival_us: a.arrival_us,
-                remaining_us: resolved[next_arrival].2,
-                started: None,
-            });
-            next_arrival += 1;
-        }
-
-        if pending.is_empty() {
-            if next_arrival >= arrivals.len() {
-                break;
-            }
-            now = arrivals[next_arrival].arrival_us;
-            continue;
-        }
-
-        // Token = static priority (1/exec: shorter ⇒ higher) × waiting time.
-        // Adding 1 keeps fresh arrivals schedulable.
-        let pick = pending
-            .iter()
-            .enumerate()
-            .map(|(i, p)| {
-                let exec = resolved[p.model_idx].2;
-                let token = (1.0 + (now - p.arrival_us)) / exec;
-                (i, token)
-            })
-            .max_by(|a, b| a.1.total_cmp(&b.1).then_with(|| b.0.cmp(&a.0)))
-            .map(|(i, _)| i)
-            .expect("non-empty pending");
-
-        let switch = last_run != Some(pending[pick].id);
-        let overhead = if switch { cfg.switch_overhead_us } else { 0.0 };
-        let slice = pending[pick].remaining_us.min(cfg.checkpoint_us);
-
-        // Run [now, now+overhead+slice); a new arrival mid-slice waits for
-        // the checkpoint (PREMA cannot preempt inside a checkpoint).
-        {
-            let p = &mut pending[pick];
-            let (name, _, _) = &resolved[p.model_idx];
-            if p.started.is_none() {
-                p.started = Some(now + overhead);
-            }
-            trace.record(format!("{}#{}", name, p.id), 0, now, now + overhead + slice);
-            last_run = Some(p.id);
-            p.remaining_us -= slice;
-            now += overhead + slice;
-        }
-
-        if pending[pick].remaining_us <= 1e-9 {
-            let p = pending.swap_remove(pick);
-            let (name, task, exec) = &resolved[p.model_idx];
-            completions.push(Completion {
-                id: p.id,
-                model: name.clone(),
-                task: *task,
-                arrival_us: p.arrival_us,
-                start_us: p.started.unwrap(),
-                end_us: now,
-                exec_us: *exec,
-            });
-        }
-    }
-
-    completions.sort_by(|a, b| a.end_us.total_cmp(&b.end_us).then(a.id.cmp(&b.id)));
-    SimResult {
-        completions,
-        trace,
-        recorder: Default::default(),
-        flight: Default::default(),
-    }
+    let tokens = Tokens {
+        cfg,
+        pending: Vec::new(),
+        last_run: None,
+    };
+    serve(arrivals, models, tokens).0
 }
 
 #[cfg(test)]

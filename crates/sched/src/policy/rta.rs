@@ -63,7 +63,7 @@ pub fn rta(arrivals: &[Arrival], models: &ModelTable, cfg: &RtaCfg) -> SimResult
         let end = now + makespan;
         for (lane, a) in group.iter().enumerate() {
             let m = models.get(&a.model);
-            trace.record(format!("{}#{}", m.name, a.id), lane % 8, start, end);
+            trace.record(a.id, m.name.clone(), None, lane % 8, start, end);
             completions.push(Completion {
                 id: a.id,
                 model: m.name.clone(),

@@ -8,68 +8,15 @@
 //! win comes from *ordering* (which SJF also has, crudely) versus
 //! *block-boundary preemption* (which only SPLIT has).
 
+use super::serial::{serve, LeastKey};
 use crate::engine::SimResult;
-use crate::request::{Completion, ModelTable};
-use gpu_sim::Timeline;
+use crate::request::ModelTable;
 use workload::Arrival;
 
 /// Serve the trace shortest-job-first, whole models, non-preemptive.
 /// Ties break by arrival order.
 pub fn sjf(arrivals: &[Arrival], models: &ModelTable) -> SimResult {
-    let mut tl = Timeline::new();
-    let mut completions: Vec<Completion> = Vec::with_capacity(arrivals.len());
-    let mut next = 0usize;
-    let mut waiting: Vec<usize> = Vec::new(); // indices into arrivals
-    let mut now = 0.0f64;
-
-    while completions.len() < arrivals.len() {
-        // Admit everything that has arrived.
-        while next < arrivals.len() && arrivals[next].arrival_us <= now + 1e-9 {
-            waiting.push(next);
-            next += 1;
-        }
-        if waiting.is_empty() {
-            now = arrivals[next].arrival_us;
-            continue;
-        }
-        // Pick the shortest job (FIFO tie-break via stable ordering).
-        let pick_pos = waiting
-            .iter()
-            .enumerate()
-            .min_by(|(_, &a), (_, &b)| {
-                let ea = models.get(&arrivals[a].model).exec_us;
-                let eb = models.get(&arrivals[b].model).exec_us;
-                ea.total_cmp(&eb).then(a.cmp(&b))
-            })
-            .map(|(i, _)| i)
-            .expect("non-empty waiting set");
-        let idx = waiting.remove(pick_pos);
-        let a = &arrivals[idx];
-        let m = models.get(&a.model);
-        let (start, end) = tl.execute(
-            format!("{}#{}", m.name, a.id),
-            now.max(a.arrival_us),
-            m.exec_us,
-        );
-        now = end;
-        completions.push(Completion {
-            id: a.id,
-            model: m.name.clone(),
-            task: m.task,
-            arrival_us: a.arrival_us,
-            start_us: start,
-            end_us: end,
-            exec_us: m.exec_us,
-        });
-    }
-
-    completions.sort_by(|a, b| a.end_us.total_cmp(&b.end_us).then(a.id.cmp(&b.id)));
-    SimResult {
-        completions,
-        trace: tl.into_trace(),
-        recorder: Default::default(),
-        flight: Default::default(),
-    }
+    serve(arrivals, models, LeastKey::new(|r| r.model.exec_us)).0
 }
 
 #[cfg(test)]

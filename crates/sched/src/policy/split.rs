@@ -301,8 +301,8 @@ pub fn split(arrivals: &[Arrival], models: &ModelTable, cfg: &SplitCfg) -> SimRe
 
     loop {
         if let Some(g) = machine.dispatch(now) {
-            let (name, id, idx) = (&g.model.name, g.id, g.block);
-            trace.record(format!("{name}#{id}/b{idx}"), 0, now, now + g.blk_us);
+            let (name, id, idx) = (&g.model.name, g.id, g.block as u32);
+            trace.record(id, name.clone(), Some(idx), 0, now, now + g.blk_us);
             // Entering block N crosses boundary N−1: attribute the
             // activation traffic. Zero duration — the transfer cost is
             // already folded into the block overhead (§4), so schedules
@@ -381,7 +381,8 @@ mod tests {
                     head.left_us -= blk;
                     let idx = st.blocks_done;
                     st.blocks_done += 1;
-                    trace.record(format!("{}#{id}/b{idx}", st.model.name), 0, now, now + blk);
+                    let (name, block) = (st.model.name.clone(), Some(idx as u32));
+                    trace.record(id, name, block, 0, now, now + blk);
                     if idx > 0 {
                         if let Some(&bytes) = st.model.transfer_bytes.get(idx - 1) {
                             trace.record_transfer(id, bytes, now, 0.0);
@@ -768,10 +769,17 @@ mod tests {
         assert!((long.end_us - 76_000.0).abs() < 1e-9);
         // Full preemption: the long model's remaining blocks run
         // contiguously after the short request (no interleaving).
-        let events: Vec<&str> = r.trace.events().iter().map(|e| e.label.as_str()).collect();
+        let events: Vec<(&str, u64, Option<u32>)> = (r.trace.events().iter())
+            .map(|e| (&*e.model, e.req, e.block))
+            .collect();
         assert_eq!(
             events,
-            vec!["long#0/b0", "short#1/b0", "long#0/b1", "long#0/b2"]
+            vec![
+                ("long", 0, Some(0)),
+                ("short", 1, Some(0)),
+                ("long", 0, Some(1)),
+                ("long", 0, Some(2))
+            ]
         );
     }
 
@@ -836,7 +844,7 @@ mod tests {
             .trace
             .events()
             .iter()
-            .any(|e| e.label.starts_with("long") && (e.duration_us() - 60_000.0).abs() < 1e-6);
+            .any(|e| &*e.model == "long" && (e.duration_us() - 60_000.0).abs() < 1e-6);
         assert!(has_vanilla_span, "flood must trigger vanilla execution");
     }
 

@@ -50,7 +50,9 @@ pub fn stream_parallel(
             let a = &arrivals[d.id as usize];
             let m = models.get(&a.model);
             trace.record(
-                format!("{}#{}", m.name, d.id),
+                d.id,
+                m.name.clone(),
+                None,
                 (d.id % 8) as usize,
                 d.start_us,
                 d.end_us,

@@ -109,7 +109,9 @@ proptest! {
                     Event::BlockEnd { req, block, stream, t_us } => {
                         let start = open.remove(req).expect("validated pairing");
                         spans.record(
-                            format!("req{req}/b{block}"),
+                            *req,
+                            "req",
+                            Some(*block as u32),
                             *stream as usize,
                             start,
                             *t_us,

@@ -115,7 +115,9 @@ proptest! {
         let r = simulate(&Policy::Split(cfg), &arrivals, &table);
         for a in &arrivals {
             let planned = table.get(&a.model).blocks_us.len();
-            let spans = r.trace.matching(&format!("#{}/", a.id));
+            let spans: Vec<_> = (r.trace.events().iter())
+                .filter(|e| e.req == a.id && e.block.is_some())
+                .collect();
             prop_assert_eq!(spans.len(), planned, "request {}", a.id);
             for w in spans.windows(2) {
                 prop_assert!(w[0].end_us <= w[1].start_us + 1e-9);

@@ -39,7 +39,9 @@ fn split_completions_match_trace_spans() {
         &table(),
     );
     for c in &r.completions {
-        let spans = r.trace.matching(&format!("{}#{}/", c.model, c.id));
+        let spans: Vec<_> = (r.trace.events().iter())
+            .filter(|e| e.req == c.id && e.model == c.model && e.block.is_some())
+            .collect();
         assert!(!spans.is_empty(), "request {} left no trace", c.id);
         let first = spans
             .iter()
@@ -74,12 +76,8 @@ fn clockwork_trace_is_one_span_per_request() {
     let r = simulate(&Policy::ClockWork, &workload(20), &table());
     assert_eq!(r.trace.events().len(), 20);
     for c in &r.completions {
-        let label = format!("{}#{}", c.model, c.id);
-        let spans: Vec<_> = r
-            .trace
-            .events()
-            .iter()
-            .filter(|e| e.label == label)
+        let spans: Vec<_> = (r.trace.events().iter())
+            .filter(|e| e.req == c.id && e.model == c.model && e.block.is_none())
             .collect();
         assert_eq!(spans.len(), 1);
         assert!((spans[0].duration_us() - c.exec_us).abs() < 1e-9);
@@ -92,12 +90,8 @@ fn prema_trace_covers_each_request_exactly_once() {
     // (plus its switch overhead folded in).
     let r = simulate(&Policy::Prema(PremaCfg::default()), &workload(20), &table());
     for c in &r.completions {
-        let label = format!("{}#{}", c.model, c.id);
-        let spans: Vec<_> = r
-            .trace
-            .events()
-            .iter()
-            .filter(|e| e.label == label)
+        let spans: Vec<_> = (r.trace.events().iter())
+            .filter(|e| e.req == c.id && e.model == c.model && e.block.is_none())
             .collect();
         assert_eq!(spans.len(), 1, "request {}", c.id);
         assert!(spans[0].duration_us() >= c.exec_us - 1e-9);
@@ -109,12 +103,8 @@ fn npu_prema_trace_chunks_sum_to_exec() {
     let cfg = PremaCfg::npu_style();
     let r = simulate(&Policy::Prema(cfg.clone()), &workload(20), &table());
     for c in &r.completions {
-        let label = format!("{}#{}", c.model, c.id);
-        let spans: Vec<_> = r
-            .trace
-            .events()
-            .iter()
-            .filter(|e| e.label == label)
+        let spans: Vec<_> = (r.trace.events().iter())
+            .filter(|e| e.req == c.id && e.model == c.model && e.block.is_none())
             .collect();
         let traced: f64 = spans.iter().map(|e| e.duration_us()).sum();
         // Work plus at most one switch overhead per chunk.

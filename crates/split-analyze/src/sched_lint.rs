@@ -19,7 +19,6 @@
 //!   produced a structurally different result on a second run
 
 use crate::diag::{Diagnostic, Report};
-use gpu_sim::parse_block_label;
 use sched::{simulate, ModelTable, Policy, SimResult};
 use split_telemetry::Event;
 use std::collections::{BTreeMap, BTreeSet};
@@ -87,8 +86,8 @@ struct Span {
     stream: usize,
     start_us: f64,
     end_us: f64,
-    /// Block index as labeled by the policy (`None` for unsplit spans).
-    labeled_block: Option<usize>,
+    /// Block index the policy recorded (`None` for unsplit spans).
+    block: Option<u32>,
 }
 
 /// Statically check one simulation result against the invariants above.
@@ -111,14 +110,11 @@ pub fn lint_schedule(arrivals: &[Arrival], result: &SimResult, cfg: &ScheduleLin
     // Attribute device spans to requests.
     let mut spans: BTreeMap<u64, Vec<Span>> = BTreeMap::new();
     for e in result.trace.events() {
-        let Some((_, req, block)) = parse_block_label(&e.label) else {
-            continue;
-        };
-        spans.entry(req).or_default().push(Span {
+        spans.entry(e.req).or_default().push(Span {
             stream: e.stream,
             start_us: e.start_us,
             end_us: e.end_us,
-            labeled_block: block,
+            block: e.block,
         });
     }
     for list in spans.values_mut() {
@@ -271,8 +267,8 @@ pub fn lint_schedule(arrivals: &[Arrival], result: &SimResult, cfg: &ScheduleLin
             };
             // Block indices, in execution order, must be 0, 1, 2, ….
             for (i, s) in list.iter().enumerate() {
-                if let Some(b) = s.labeled_block {
-                    if b != i {
+                if let Some(b) = s.block {
+                    if b as usize != i {
                         report.push(
                             Diagnostic::error(
                                 "SA102",

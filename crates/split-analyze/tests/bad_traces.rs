@@ -39,8 +39,8 @@ fn vanilla_table() -> ModelTable {
 fn overlapping_streams_fixture_is_exactly_sa101() {
     let arrivals = vec![arrival(0, "m", 0.0), arrival(1, "m", 10.0)];
     let mut trace = Trace::new();
-    trace.record("m#0", 0, 0.0, 100.0);
-    trace.record("m#1", 0, 50.0, 150.0); // starts while m#0 still runs
+    trace.record(0, "m", None, 0, 0.0, 100.0);
+    trace.record(1, "m", None, 0, 50.0, 150.0); // starts while request 0 still runs
     let result = SimResult {
         completions: vec![
             completion(0, "m", 0.0, 0.0, 100.0),
@@ -69,8 +69,8 @@ fn mid_block_preemption_fixture_is_exactly_sa102() {
     table.insert(ModelRuntime::split("s", 0, 100.0, vec![50.0, 50.0]));
     let arrivals = vec![arrival(0, "s", 0.0)];
     let mut trace = Trace::new();
-    trace.record("s#0/b0", 0, 0.0, 50.0);
-    trace.record("s#0/b1", 0, 60.0, 95.0); // 35µs of a declared 50µs block
+    trace.record(0, "s", Some(0), 0, 0.0, 50.0);
+    trace.record(0, "s", Some(1), 0, 60.0, 95.0); // 35µs of a declared 50µs block
     let result = SimResult {
         completions: vec![completion(0, "s", 0.0, 0.0, 95.0)],
         trace,
@@ -87,12 +87,39 @@ fn mid_block_preemption_fixture_is_exactly_sa102() {
     );
 }
 
+/// A split request runs block 0 and then block 2: a block index was
+/// skipped, though both spans last their declared time.
+#[test]
+fn skipped_block_index_fixture_is_exactly_sa102() {
+    let mut table = ModelTable::new();
+    table.insert(ModelRuntime::split("s", 0, 100.0, vec![50.0, 50.0]));
+    let arrivals = vec![arrival(0, "s", 0.0)];
+    let mut trace = Trace::new();
+    trace.record(0, "s", Some(0), 0, 0.0, 50.0);
+    trace.record(0, "s", Some(2), 0, 50.0, 100.0);
+    let result = SimResult {
+        completions: vec![completion(0, "s", 0.0, 0.0, 100.0)],
+        trace,
+        recorder: Default::default(),
+        flight: Default::default(),
+    };
+    let report = lint_schedule(&arrivals, &result, &ScheduleLintCfg::block_granular(&table));
+    assert_eq!(report.len(), 1, "{}", report.render_text());
+    let sa102 = report.with_code("SA102");
+    assert_eq!(sa102.len(), 1, "{}", report.render_text());
+    assert!(
+        sa102[0].message.contains("span 1 is labeled block 2"),
+        "{}",
+        report.render_text()
+    );
+}
+
 /// A request arrives, is never dropped, and never completes.
 #[test]
 fn lost_request_fixture_is_exactly_sa103() {
     let arrivals = vec![arrival(0, "m", 0.0), arrival(1, "m", 10.0)];
     let mut trace = Trace::new();
-    trace.record("m#0", 0, 0.0, 100.0);
+    trace.record(0, "m", None, 0, 0.0, 100.0);
     let result = SimResult {
         completions: vec![completion(0, "m", 0.0, 0.0, 100.0)],
         trace,
@@ -115,7 +142,7 @@ fn lost_request_fixture_is_exactly_sa103() {
 fn impossible_latency_fixture_is_exactly_sa104() {
     let arrivals = vec![arrival(0, "m", 0.0)];
     let mut trace = Trace::new();
-    trace.record("m#0", 0, 0.0, 100.0);
+    trace.record(0, "m", None, 0, 0.0, 100.0);
     let result = SimResult {
         // end_us says 80µs e2e, but the span occupies 100µs of device time
         // — and the span also runs past the claimed completion.
