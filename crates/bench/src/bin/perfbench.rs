@@ -71,16 +71,6 @@ const ITERS: usize = 5;
 const FAST_ITERS: usize = 100;
 /// `--check` failure threshold: fresh p50 vs committed p50.
 const REGRESSION_FACTOR: u64 = 3;
-/// Iteration pairs for the interleaved flight-recorder on/off entries.
-/// The signal (tens of µs per simulate) sits well below the per-sample
-/// noise (hundreds of µs on a shared host), so the ≤ 5% gate needs
-/// enough pairs for the median paired difference to converge; at ~4 ms
-/// a pair this is still under a second of wall clock.
-const FLIGHT_ITERS: usize = 101;
-/// Ceiling on the flight recorder's p50 overhead over the same
-/// simulation with the ring off (the tentpole's "measured overhead
-/// budget").
-const FLIGHT_OVERHEAD_LIMIT: f64 = 0.05;
 /// Ceiling on the live drift-recording cost: the per-request observe
 /// pair (arrival + judged completion) the serving threads pay must stay
 /// ≤ 5% of simulate/SPLIT's per-request p50, so always-on drift
@@ -377,7 +367,6 @@ fn main() {
     // --- The simulation-backed families share one deployment and
     // workload; none of it is built when the filters skip them all. ---
     let need_workload = selected("simulate")
-        || selected("simulate_flight")
         || selected("telemetry")
         || selected("sketch")
         || selected("window")
@@ -399,64 +388,6 @@ fn main() {
                 }
                 entries.push(e);
             }
-        }
-
-        // --- Forensics: the flight recorder's overhead on the full serving
-        // path, measured as an interleaved on/off pair over the same
-        // workload: samples alternate off/on so clock drift and cache state
-        // hit both sides equally, and the overhead is the median of the
-        // paired per-iteration differences (robust to the odd slow sample,
-        // unlike a ratio of independent p50s). The subsystem's always-on
-        // claim rests on this number staying ≤ 5% of p50 (checked in
-        // --check mode, gated in CI). ---
-        if selected("simulate_flight") {
-            let split = Policy::Split(Default::default());
-            let run = |flight: bool| {
-                drop(split_forensics::with_flight(flight, || {
-                    simulate(&split, &workload.arrivals, deployment.table())
-                }));
-            };
-            for _ in 0..(FLIGHT_ITERS / 5).max(1) {
-                run(false);
-                run(true);
-            }
-            let mut off_ns: Vec<u64> = Vec::with_capacity(FLIGHT_ITERS);
-            let mut on_ns: Vec<u64> = Vec::with_capacity(FLIGHT_ITERS);
-            let mut diff_ns: Vec<i64> = Vec::with_capacity(FLIGHT_ITERS);
-            for i in 0..FLIGHT_ITERS {
-                // Alternate which leg goes first: the second run of a pair
-                // is systematically slower (allocator and cache state left
-                // by the first), and that position bias would otherwise
-                // masquerade as recorder overhead.
-                let first_on = i % 2 == 1;
-                let t0 = Instant::now();
-                run(first_on);
-                let a = t0.elapsed().as_nanos() as u64;
-                let t0 = Instant::now();
-                run(!first_on);
-                let b = t0.elapsed().as_nanos() as u64;
-                let (off, on) = if first_on { (b, a) } else { (a, b) };
-                off_ns.push(off);
-                on_ns.push(on);
-                diff_ns.push(on as i64 - off as i64);
-            }
-            let off = Entry::from_samples("simulate_flight_off/SPLIT", off_ns).with_items(requests);
-            let on = Entry::from_samples("simulate_flight_on/SPLIT", on_ns).with_items(requests);
-            diff_ns.sort_unstable();
-            let overhead = diff_ns[diff_ns.len() / 2] as f64 / off.p50_ns.max(1) as f64;
-            println!(
-                "    flight-recorder overhead on simulate/SPLIT: {:+.2}% p50 (median paired diff)",
-                100.0 * overhead
-            );
-            if check && overhead > FLIGHT_OVERHEAD_LIMIT {
-                gate_failures.push(format!(
-                    "flight recorder costs {:.2}% p50 on simulate/SPLIT (limit {:.0}%)",
-                    100.0 * overhead,
-                    100.0 * FLIGHT_OVERHEAD_LIMIT
-                ));
-            }
-            entries.push(off);
-            entries.push(on);
         }
 
         // --- Telemetry and drift share one recorded simulation. ---
@@ -588,8 +519,8 @@ fn main() {
 
     // --- Forensics: the raw seqlock write path — what a live server
     // thread pays per causal event it pushes into the shared ring
-    // (simulate's flight view is a lazy projection and never touches
-    // it). ---
+    // (a simulation's flight view is projected from its lifecycle and
+    // never touches it). ---
     if selected("flight_ring") {
         let ring = split_forensics::FlightRing::with_capacity(8_192);
         let n = 8_192u64;

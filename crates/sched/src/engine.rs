@@ -1,4 +1,4 @@
-//! Uniform entry point over the four policies.
+//! Uniform entry point over the single-device policies.
 
 use crate::policy::{
     clockwork, prema, rta, sjf, split, stream_parallel, PremaCfg, RtaCfg, SplitCfg,
@@ -64,13 +64,6 @@ pub struct SimResult {
     /// merges in the uniform events every policy shares — arrivals,
     /// block spans, completions, queue depth, utilization.
     pub recorder: split_telemetry::Recorder,
-    /// Flight-recorder snapshot, projected lazily from the lifecycle on
-    /// first access — read it through [`SimResult::flight`]. Whether
-    /// recording is enabled is still decided at simulate time
-    /// ([`attach_lifecycle`] pins the disabled snapshot when
-    /// [`split_forensics::flight_enabled`] is off, e.g. under
-    /// `SPLIT_FLIGHT=0` or a perfbench off-measurement).
-    pub flight: std::sync::OnceLock<split_forensics::FlightSnapshot>,
 }
 
 impl SimResult {
@@ -88,46 +81,11 @@ impl SimResult {
         split_telemetry::registry_from_events(&self.recorder)
     }
 
-    /// Rebuild every request's causal span tree (arrival → queue →
-    /// blocks → transfers → stalls → completion) from the lifecycle
-    /// recording.
-    pub fn spans(&self) -> Vec<split_obs::Span> {
-        split_obs::build_spans(&self.recorder)
-    }
-
     /// Critical-path attribution for every completed request: e2e
     /// latency decomposed into queue / compute / transfer / stall /
     /// sched components (sum = e2e within 1 ns; linted as `SA301`).
     pub fn attribution(&self) -> Vec<split_obs::Attribution> {
         split_obs::attribute(&self.recorder)
-    }
-
-    /// Flight-recorder view of this run: bit-for-bit the bounded-ring
-    /// snapshot a quiescent [`split_forensics::FlightRing`] fed every
-    /// causal event would return. The projection is computed here, on
-    /// first access — the engine already retains the whole lifecycle in
-    /// [`SimResult::recorder`], so the always-on recorder adds no work
-    /// to the serving path itself (the perfbench on/off pair gates that
-    /// at ≤ 5% p50). Live server threads, where writes race, record
-    /// through the real ring instead.
-    pub fn flight(&self) -> &split_forensics::FlightSnapshot {
-        self.flight.get_or_init(|| {
-            split_forensics::FlightSnapshot::from_events(
-                self.recorder.events(),
-                split_forensics::flight_capacity(),
-            )
-        })
-    }
-
-    /// Run the tail-latency forensics pipeline over this result: replay
-    /// the SLO monitor, and build one incident bundle per fired
-    /// burn-rate alert (outliers sampled, classified, and aggregated
-    /// into a verdict).
-    pub fn investigate(
-        &self,
-        cfg: &split_forensics::ForensicsCfg,
-    ) -> split_forensics::Investigation {
-        split_forensics::investigate(&self.recorder, self.flight(), Some(&self.trace), cfg)
     }
 
     /// FNV-1a fingerprint of the schedule: every completion's id and
@@ -152,9 +110,9 @@ impl SimResult {
 
     /// Drift-watch view of this run: replay the lifecycle through a
     /// [`split_watch::DriftWatch`] (windowed sketches + change-point
-    /// detectors) and return the finalized report. Like
-    /// [`SimResult::flight`], the projection is computed on demand from
-    /// the retained recorder, so simulation itself pays nothing for it.
+    /// detectors) and return the finalized report. The projection is
+    /// computed on demand from the retained recorder, so simulation
+    /// itself pays nothing for it.
     pub fn drift(&self, cfg: split_watch::WatchCfg) -> split_watch::DriftReport {
         let mut watch = split_watch::DriftWatch::new(cfg);
         for e in self.recorder.events() {
@@ -455,16 +413,6 @@ pub fn attach_lifecycle(arrivals: &[Arrival], mut result: SimResult) -> SimResul
         &result.trace,
         policy_events,
     ));
-
-    // Pin the recording decision now (scoped `with_flight` overrides
-    // end with the caller): off pins the disabled snapshot; on leaves
-    // the cell empty for `SimResult::flight` to project lazily.
-    if !split_forensics::flight_enabled() {
-        let _ = result
-            .flight
-            .set(split_forensics::FlightSnapshot::disabled());
-    }
-
     result.recorder = split_telemetry::Recorder::from_events(events);
     result
 }

@@ -82,7 +82,6 @@ pub fn rta(arrivals: &[Arrival], models: &ModelTable, cfg: &RtaCfg) -> SimResult
         completions,
         trace,
         recorder: Default::default(),
-        flight: Default::default(),
     }
 }
 

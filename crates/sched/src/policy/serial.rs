@@ -147,7 +147,6 @@ pub(crate) fn serve<'a, D: Discipline<'a>>(
         completions,
         trace,
         recorder: Default::default(),
-        flight: Default::default(),
     };
     (result, dropped)
 }

@@ -343,7 +343,6 @@ pub fn split(arrivals: &[Arrival], models: &ModelTable, cfg: &SplitCfg) -> SimRe
         completions,
         trace,
         recorder,
-        flight: Default::default(),
     }
 }
 
@@ -487,7 +486,6 @@ mod tests {
             completions,
             trace,
             recorder,
-            flight: Default::default(),
         }
     }
 

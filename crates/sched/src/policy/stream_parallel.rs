@@ -73,7 +73,6 @@ pub fn stream_parallel(
         completions,
         trace,
         recorder: Default::default(),
-        flight: Default::default(),
     }
 }
 

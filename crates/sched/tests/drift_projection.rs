@@ -1,6 +1,6 @@
 //! The drift-watch projection of a simulation must conserve every
-//! request and react to injected surges, mirroring how `flight()` is a
-//! faithful lazy view of the same recorder.
+//! request and react to injected surges: it is a faithful view of the
+//! simulation's lifecycle recorder.
 
 use sched::policy::SplitCfg;
 use sched::{simulate, ModelRuntime, ModelTable, Policy};

@@ -288,7 +288,7 @@ fn lint_verdict(bundle: &IncidentBundle, report: &mut Report) {
 mod tests {
     use super::*;
     use sched::{simulate, ModelRuntime, ModelTable, Policy};
-    use split_forensics::{ForensicsCfg, TailSampler};
+    use split_forensics::{investigate, ForensicsCfg, TailSampler};
     use split_obs::SloCfg;
     use workload::Arrival;
 
@@ -310,14 +310,15 @@ mod tests {
             })
             .collect();
         let result = simulate(&Policy::Split(Default::default()), &arrivals, &t);
-        let inv = result.investigate(&ForensicsCfg {
+        let cfg = ForensicsCfg {
             slo: SloCfg {
                 fast_window_us: 50_000.0,
                 slow_window_us: 400_000.0,
                 ..SloCfg::default()
             },
             sampler: TailSampler::default(),
-        });
+        };
+        let inv = investigate(&result.recorder, Some(&result.trace), &cfg);
         assert!(
             !inv.bundles.is_empty(),
             "fixture must fire an alert ({})",

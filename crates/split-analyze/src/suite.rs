@@ -312,7 +312,11 @@ pub fn run_suite(cfg: &SuiteCfg) -> SuiteOutcome {
             &burst_trace.arrivals,
             table,
         );
-        let inv = burst_result.investigate(&split_forensics::ForensicsCfg::default());
+        let inv = split_forensics::investigate(
+            &burst_result.recorder,
+            Some(&burst_result.trace),
+            &split_forensics::ForensicsCfg::default(),
+        );
         if inv.bundles.is_empty() {
             forensics_report.push(
                 crate::diag::Diagnostic::error(

@@ -48,7 +48,6 @@ fn overlapping_streams_fixture_is_exactly_sa101() {
         ],
         trace,
         recorder: Default::default(),
-        flight: Default::default(),
     };
     let table = vanilla_table();
     let report = lint_schedule(&arrivals, &result, &ScheduleLintCfg::structural(&table));
@@ -75,7 +74,6 @@ fn mid_block_preemption_fixture_is_exactly_sa102() {
         completions: vec![completion(0, "s", 0.0, 0.0, 95.0)],
         trace,
         recorder: Default::default(),
-        flight: Default::default(),
     };
     let report = lint_schedule(&arrivals, &result, &ScheduleLintCfg::block_granular(&table));
     assert_eq!(report.len(), 1, "{}", report.render_text());
@@ -101,7 +99,6 @@ fn skipped_block_index_fixture_is_exactly_sa102() {
         completions: vec![completion(0, "s", 0.0, 0.0, 100.0)],
         trace,
         recorder: Default::default(),
-        flight: Default::default(),
     };
     let report = lint_schedule(&arrivals, &result, &ScheduleLintCfg::block_granular(&table));
     assert_eq!(report.len(), 1, "{}", report.render_text());
@@ -124,7 +121,6 @@ fn lost_request_fixture_is_exactly_sa103() {
         completions: vec![completion(0, "m", 0.0, 0.0, 100.0)],
         trace,
         recorder: Default::default(),
-        flight: Default::default(),
     };
     let table = vanilla_table();
     let report = lint_schedule(&arrivals, &result, &ScheduleLintCfg::structural(&table));
@@ -149,7 +145,6 @@ fn impossible_latency_fixture_is_exactly_sa104() {
         completions: vec![completion(0, "m", 0.0, 0.0, 80.0)],
         trace,
         recorder: Default::default(),
-        flight: Default::default(),
     };
     let table = vanilla_table();
     let report = lint_schedule(&arrivals, &result, &ScheduleLintCfg::structural(&table));

@@ -11,16 +11,19 @@
 //! is classified, per-model head counters summarize everything that
 //! was *not* retained, and the verdict aggregates the labels.
 //!
-//! The bundle's flight ring is the provided snapshot filtered to the
+//! The bundle's flight ring is the ring snapshot filtered to the
 //! window; its `capacity`/`appended`/`dropped` counters stay
 //! ring-global so the reader can judge how much history the ring held.
+//! [`investigate`] projects that snapshot from the recording itself
+//! ([`FlightSnapshot::from_events`] at [`DEFAULT_CAPACITY`]); the live
+//! runtime passes its real ring to [`bundles_for_alerts`].
 
 use crate::bundle::{
     CauseShare, DepthSample, IncidentBundle, ModelStat, OutlierReport, SampleReason, SpanRecord,
     Verdict, BUNDLE_SCHEMA,
 };
 use crate::classify::{classify, RootCause};
-use crate::ring::{FlightKind, FlightSnapshot};
+use crate::ring::{FlightKind, FlightSnapshot, DEFAULT_CAPACITY};
 use crate::sampling::{violates, Retain, TailSampler};
 use split_obs::attribution::attribute_spans;
 use split_obs::{build_spans, AlertLog, Attribution, SloCfg, SloMonitor, Span};
@@ -59,12 +62,11 @@ impl Investigation {
 }
 
 /// Replay `rec` through the SLO monitor and build one incident bundle
-/// per fired alert. `flight` is the flight-recorder snapshot taken with
-/// the recording (pass [`FlightSnapshot::disabled`] when the ring was
-/// off); `trace` supplies device-busy context when available.
+/// per fired alert, with the flight ring a quiescent
+/// [`DEFAULT_CAPACITY`] recorder fed `rec` would hold; `trace` supplies
+/// device-busy context when available.
 pub fn investigate(
     rec: &Recorder,
-    flight: &FlightSnapshot,
     trace: Option<&gpu_sim::Trace>,
     cfg: &ForensicsCfg,
 ) -> Investigation {
@@ -81,7 +83,8 @@ pub fn investigate(
     monitor.advance(last_t);
     let alerts = monitor.log().clone();
 
-    let bundles = bundles_for_alerts(rec, flight, trace, cfg, &alerts);
+    let flight = FlightSnapshot::from_events(rec.events(), DEFAULT_CAPACITY);
+    let bundles = bundles_for_alerts(rec, &flight, trace, cfg, &alerts);
 
     Investigation {
         alerts,
@@ -438,7 +441,7 @@ mod tests {
     #[test]
     fn clean_recording_produces_no_bundles() {
         let rec = recording(20, |_| false);
-        let inv = investigate(&rec, &FlightSnapshot::disabled(), None, &small_cfg());
+        let inv = investigate(&rec, None, &small_cfg());
         assert_eq!(inv.alerts.fired(), 0);
         assert!(inv.bundles.is_empty());
         assert_eq!(inv.attributions.len(), 20);
@@ -449,7 +452,7 @@ mod tests {
         // 30 requests, every one after #9 violating: burn rockets past
         // both thresholds.
         let rec = recording(30, |i| i >= 10);
-        let inv = investigate(&rec, &FlightSnapshot::disabled(), None, &small_cfg());
+        let inv = investigate(&rec, None, &small_cfg());
         assert!(inv.alerts.fired() >= 1, "alert must fire");
         assert_eq!(inv.bundles.len(), inv.alerts.fired());
         let b = &inv.bundles[0];
@@ -474,8 +477,9 @@ mod tests {
         let rec = recording(30, |i| i >= 10);
         let ring = FlightRing::with_capacity(64);
         ring.record(150.0, 999, FlightKind::Drop, 0, 0);
-        let inv = investigate(&rec, &ring.snapshot(), None, &small_cfg());
-        let b = &inv.bundles[0];
+        let alerts = investigate(&rec, None, &small_cfg()).alerts;
+        let bundles = bundles_for_alerts(&rec, &ring.snapshot(), None, &small_cfg(), &alerts);
+        let b = &bundles[0];
         let dropped: Vec<&OutlierReport> = b
             .outliers
             .iter()
@@ -488,7 +492,7 @@ mod tests {
     #[test]
     fn verdict_shares_sum_to_one() {
         let rec = recording(30, |i| i >= 10);
-        let inv = investigate(&rec, &FlightSnapshot::disabled(), None, &small_cfg());
+        let inv = investigate(&rec, None, &small_cfg());
         let v = &inv.bundles[0].verdict;
         let total: f64 = v.cause_shares.iter().map(|c| c.share).sum();
         assert!((total - 1.0).abs() < 1e-9);

@@ -28,9 +28,11 @@
 //!   lifecycle recording: replay the SLO monitor, scope one bundle per
 //!   fired alert, sample, classify, aggregate.
 //!
-//! `split-analyze` verifies bundles with the `SA4xx` codes and
-//! `perfbench` gates the recorder's overhead (on vs off) at ≤ 5% p50 on
-//! the full `simulate/SPLIT` path.
+//! The recorder has no switch: the live server always writes a
+//! [`DEFAULT_CAPACITY`] ring, and [`investigate()`] projects the same
+//! ring from a simulation's lifecycle. `split-analyze` verifies bundles
+//! with the `SA4xx` codes, and `perfbench`'s `flight_ring/record` entry
+//! measures the per-record cost.
 
 pub mod bundle;
 pub mod classify;
@@ -46,60 +48,3 @@ pub use classify::{classify, Classification, RootCause};
 pub use investigate::{bundles_for_alerts, investigate, ForensicsCfg, Investigation};
 pub use ring::{FlightKind, FlightRecord, FlightRing, FlightSnapshot, DEFAULT_CAPACITY, NO_REQ};
 pub use sampling::{TailSampler, DEFAULT_TOP_K, DEFAULT_WINDOW_US};
-
-use std::cell::Cell;
-
-thread_local! {
-    /// Per-thread override for [`flight_enabled`] (used by perfbench to
-    /// pair on/off measurements without touching the environment).
-    static FLIGHT_OVERRIDE: Cell<Option<bool>> = const { Cell::new(None) };
-}
-
-/// Whether the flight recorder should run. Always on by default — the
-/// whole point is that forensics data exists *before* the incident. A
-/// thread-scoped [`with_flight`] override wins; otherwise the
-/// `SPLIT_FLIGHT` environment variable (`0` / `off` / `false` disables).
-pub fn flight_enabled() -> bool {
-    if let Some(forced) = FLIGHT_OVERRIDE.with(Cell::get) {
-        return forced;
-    }
-    !matches!(
-        std::env::var("SPLIT_FLIGHT").as_deref(),
-        Ok("0") | Ok("off") | Ok("false")
-    )
-}
-
-/// Run `f` with the flight recorder forced on or off for the current
-/// thread. Restores the previous override on exit (including panic
-/// unwinding is not required here: measurement helpers only).
-pub fn with_flight<T>(enabled: bool, f: impl FnOnce() -> T) -> T {
-    let prev = FLIGHT_OVERRIDE.with(|o| o.replace(Some(enabled)));
-    let out = f();
-    FLIGHT_OVERRIDE.with(|o| o.set(prev));
-    out
-}
-
-/// Ring capacity to use, from `SPLIT_FLIGHT_CAP` (entries; rounded up
-/// to a power of two by the ring) or [`DEFAULT_CAPACITY`].
-pub fn flight_capacity() -> usize {
-    std::env::var("SPLIT_FLIGHT_CAP")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&c| c > 0)
-        .unwrap_or(DEFAULT_CAPACITY)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn flight_defaults_on_and_override_scopes() {
-        // Default (no env override in the test environment): on.
-        assert!(flight_enabled());
-        let inside = with_flight(false, flight_enabled);
-        assert!(!inside);
-        assert!(flight_enabled(), "override must not leak");
-        assert!(!with_flight(true, || with_flight(false, flight_enabled)));
-    }
-}

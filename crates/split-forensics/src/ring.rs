@@ -7,8 +7,8 @@
 //! words, a slot is claimed with one `fetch_add`, and publication uses a
 //! per-slot seqlock stamp — writers never block each other or a reader,
 //! and a reader detects (and skips) the rare slot it races with. The
-//! ring therefore stays on in production: `perfbench` gates its
-//! overhead on the full `simulate/SPLIT` path at ≤ 5% p50.
+//! ring therefore stays on in production; `perfbench`'s
+//! `flight_ring/record` entry measures the cost of one record.
 //!
 //! Entirely safe Rust: the seqlock is built from `AtomicU64` fields
 //! only, so a torn *slot* is impossible by construction and a torn
@@ -427,11 +427,10 @@ impl Default for FlightRing {
 }
 
 /// A point-in-time copy of a [`FlightRing`], in causal (sequence)
-/// order. This is what rides inside simulation results and incident
-/// bundles.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+/// order. This is what rides inside incident bundles.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FlightSnapshot {
-    /// Ring capacity at snapshot time (0 = recording was disabled).
+    /// Ring capacity at snapshot time.
     pub capacity: u64,
     /// Records ever appended to the ring.
     pub appended: u64,
@@ -443,22 +442,17 @@ pub struct FlightSnapshot {
 }
 
 impl FlightSnapshot {
-    /// Snapshot representing "recording disabled".
-    pub fn disabled() -> Self {
-        Self::default()
-    }
-
     /// Build a snapshot directly from an in-order event stream, with
     /// the same bounded-ring semantics (capacity rounded up to a power
     /// of two, oldest records dropped and counted once it overflows).
     ///
-    /// The single-threaded simulation engine already holds its whole
-    /// lifecycle in memory, time-sorted — replaying it through the
-    /// concurrent seqlock ring would buy nothing and cost ~20 ns/event,
-    /// which at discrete-event-simulation speeds blows the ≤ 5%
-    /// recorder-overhead budget. Live server threads, where writes race,
-    /// go through [`FlightRing::record`] instead; this constructor is
-    /// bit-for-bit equivalent for a quiescent ring.
+    /// A simulation already holds its whole lifecycle in memory,
+    /// time-sorted, so [`investigate`](crate::investigate()) projects
+    /// the ring from it here instead of replaying every event through
+    /// the concurrent seqlock ring (~20 ns/event for nothing). Live
+    /// server threads, where writes race, go through
+    /// [`FlightRing::record`] instead; this constructor is bit-for-bit
+    /// equivalent for a quiescent ring.
     pub fn from_events<'a>(events: impl IntoIterator<Item = &'a Event>, capacity: usize) -> Self {
         let cap = capacity.max(2).next_power_of_two();
         let events = events.into_iter();
@@ -481,11 +475,6 @@ impl FlightSnapshot {
             dropped: overflow as u64,
             records,
         }
-    }
-
-    /// Whether the recorder was on when this snapshot was taken.
-    pub fn enabled(&self) -> bool {
-        self.capacity > 0
     }
 
     /// Records belonging to request `req`, in causal order.

@@ -144,9 +144,8 @@ struct Shared {
     /// into the SLO alert log as informational alerts.
     drift: Mutex<DriftWatch>,
     /// Always-on flight recorder: every causal event also lands here as
-    /// a compact lock-free record (`None` when disabled via
-    /// `SPLIT_FLIGHT=0`).
-    flight: Option<FlightRing>,
+    /// a compact lock-free record.
+    flight: FlightRing,
     /// Flight history frozen the instant each burn-rate alert fired, so
     /// it survives even if the ring wraps before shutdown.
     frozen: Mutex<FrozenFlight>,
@@ -214,9 +213,7 @@ impl Shared {
     /// Record a lifecycle event in both the full recorder and (its
     /// compact projection) the flight ring.
     fn record(&self, e: Event) {
-        if let Some(ring) = &self.flight {
-            ring.record_event(&e);
-        }
+        self.flight.record_event(&e);
         self.recorder.record(e);
     }
 }
@@ -253,9 +250,7 @@ fn handle_infer(
             });
             // Mark events don't project into the flight ring, so drops
             // get an explicit compact record of their own.
-            if let Some(ring) = &shared.flight {
-                ring.record(now, id, FlightKind::Drop, 0, 0);
-            }
+            shared.flight.record(now, id, FlightKind::Drop, 0, 0);
             let _ = reply.send(InferenceReply {
                 id,
                 model,
@@ -346,10 +341,10 @@ fn handle_next_block(
                 }
                 burn_scope
             };
-            if let (Some(scope), Some(ring)) = (freeze, &shared.flight) {
+            if let Some(scope) = freeze {
                 // Freeze the pre-incident history the instant the alert
                 // fires, before the ring can wrap over it.
-                shared.frozen.lock().freeze(ring, scope);
+                shared.frozen.lock().freeze(&shared.flight, scope);
             }
             let _ = reply.send(InferenceReply {
                 id: fin.id,
@@ -497,8 +492,7 @@ pub struct ShutdownReport {
     pub alerts: AlertLog,
     /// One self-contained forensic bundle per fired alert: flight-ring
     /// history, queue depths, the violating requests' span trees, and
-    /// an aggregated root-cause verdict. Empty when no alert fired (or
-    /// the flight recorder was disabled).
+    /// an aggregated root-cause verdict. Empty when no alert fired.
     pub incidents: Vec<IncidentBundle>,
     /// Finalized drift-watch report: windowed latency sketches and any
     /// regime-shift events detected while serving.
@@ -520,8 +514,7 @@ impl Server {
                 alpha: cfg.alpha,
                 ..WatchCfg::default()
             })),
-            flight: split_forensics::flight_enabled()
-                .then(|| FlightRing::with_capacity(split_forensics::flight_capacity())),
+            flight: FlightRing::new(),
             frozen: Mutex::new(FrozenFlight::default()),
             ingest_closed: AtomicBool::new(false),
             combiner_stall_ns: AtomicU64::new(0),
@@ -666,12 +659,7 @@ impl Server {
         // Merge the fire-time freezes (pre-incident history that may
         // since have been overwritten) with the final ring state.
         let flight = {
-            let mut merged = self
-                .shared
-                .flight
-                .as_ref()
-                .map(|r| r.snapshot())
-                .unwrap_or_else(FlightSnapshot::disabled);
+            let mut merged = self.shared.flight.snapshot();
             for snap in self.shared.frozen.lock().snapshots.drain(..) {
                 merged = merged.merge(&snap);
             }
@@ -1140,7 +1128,10 @@ mod tests {
                 bundle.verdict.violating > 0,
                 "overload window has violations"
             );
-            assert!(bundle.flight.enabled(), "flight ring was on");
+            assert_eq!(
+                bundle.flight.capacity,
+                split_forensics::DEFAULT_CAPACITY as u64
+            );
             assert!(!bundle.flight.records.is_empty());
             // Every outlier's root-cause components reconcile with its
             // exact e2e decomposition.
@@ -1251,16 +1242,5 @@ mod tests {
         second_times.extend((30..50).map(|t| f64::from(t) * 10.0));
         assert_eq!(times, vec![vec![20.0, 30.0, 40.0, 50.0], second_times]);
         assert_eq!(frozen.seen, 50);
-    }
-
-    #[test]
-    fn flight_disabled_still_shuts_down_clean() {
-        split_forensics::with_flight(false, || {
-            let server = Server::start(deployment(), config());
-            let rx = server.client().infer("short");
-            rx.recv_timeout(std::time::Duration::from_secs(5)).unwrap();
-            let report = server.shutdown();
-            assert_eq!(report.served, 1);
-        });
     }
 }

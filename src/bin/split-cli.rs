@@ -367,7 +367,7 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
         let path = PathBuf::from(path);
         let mut cfg = split_repro::split_forensics::ForensicsCfg::default();
         cfg.slo.alpha = alpha;
-        let inv = r.investigate(&cfg);
+        let inv = split_repro::split_forensics::investigate(&r.recorder, Some(&r.trace), &cfg);
         println!("\nforensics: {}", inv.alerts.summary());
         match inv.bundles.first() {
             None => println!("no burn-rate alert fired; no incident bundle written"),

@@ -10,7 +10,7 @@ use split_repro::experiment;
 use split_repro::gpu_sim::DeviceConfig;
 use split_repro::rayon;
 use split_repro::sched::Policy;
-use split_repro::split_obs::{Span, SpanKind, ROOT_SPAN_ID};
+use split_repro::split_obs::{build_spans, Span, SpanKind, ROOT_SPAN_ID};
 use split_repro::workload::Scenario;
 
 fn spans_with_threads(threads: usize) -> Vec<Span> {
@@ -22,7 +22,7 @@ fn spans_with_threads(threads: usize) -> Vec<Span> {
             Scenario::table2(3),
             &deployment,
         );
-        result.spans()
+        build_spans(&result.recorder)
     })
 }
 
